@@ -1,10 +1,11 @@
 """Question decoding: greedy, beam search, and streaming corpus generation.
 
-Decoding runs tape-free through kernels.decode_step.  An output sequence
-is at most max_len tokens ending in '?': up to max_len - 1 tokens are
-chosen by the model, and a hypothesis that never emits '?' gets one
-appended (unscored).  Scores are length-unnormalized sums of chosen
-token log-probabilities.
+A fact is encoded once with model.encode_fact and model.init_state; each
+token then runs tape-free through the numpy kernel kernels.decode_step.
+An output sequence is at most max_len tokens ending in '?': up to
+max_len - 1 tokens are chosen by the model, and a hypothesis that never
+emits '?' gets one appended (unscored).  Scores are length-unnormalized
+sums of chosen token log-probabilities.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import kernels
-from .autodiff import log_softmax_values, tanh_values
+from .autodiff import log_softmax_values
 from .data import BOS, QMARK, Fact, Vocabulary, normalize_id
 from .errors import ContractError, ParseError, UnknownIdError
-from .model import QGenParams, atom_indices
+from .model import QGenParams, encode_fact, init_state
 from .placeholders import restore, subject_text
 
 DEFAULT_MAX_LEN = 30
@@ -66,8 +67,6 @@ class GenerationSession:
         self.max_len = max_len
         t = params.tensors
         self._word_emb = t["word_emb"].value
-        self._atom_proj = t["atom_proj"].value
-        self._init_proj = t["init_proj"].value
         self._step_weights = tuple(
             t[name].value for name in (
                 "att_hidden", "att_score",
@@ -81,13 +80,10 @@ class GenerationSession:
         self._qmark = output_vocab.index(QMARK)
 
     def _encode(self, fact: Fact):
-        s, r, o = atom_indices(fact, self.input_vocab)
-        enc_s = self._atom_proj @ self.params.input_emb[s]
-        enc_r = self._atom_proj @ self.params.input_emb[r]
-        enc_o = self._atom_proj @ self.params.input_emb[o]
-        enc_all = np.concatenate((enc_s, enc_r, enc_o))
-        h0 = tanh_values(self._init_proj @ enc_all)
-        return (enc_s, enc_r, enc_o, enc_all), h0
+        enc = encode_fact(fact, self.params, self.input_vocab)
+        h0 = init_state(enc, self.params).value
+        return (enc.enc_s.value, enc.enc_r.value, enc.enc_o.value,
+                enc.enc_all.value), h0
 
     def _step(self, enc, w_prev: int, h_prev):
         h, logits, alpha = kernels.decode_step(

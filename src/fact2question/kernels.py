@@ -1,56 +1,26 @@
-"""Hot numeric kernels: numba-jitted with a pure-numpy fallback.
+"""Hot numeric kernels: tape-free numpy.
 
 Two inner loops dominate runtime: the per-triple SGD epoch of embedding
 training and the per-token decoder step used when generating questions
-at corpus scale.  Both exist twice, as a numba @njit kernel and as a
-plain numpy implementation with identical semantics.
-
-The backend is picked once at import from QGEN_BACKEND:
-
-    QGEN_BACKEND=numpy   force the numpy fallback
-    QGEN_BACKEND=numba   require numba (ImportError if missing)
-    unset                numba when importable, else numpy
-
-benchmarks/bench_kernels.py times one against the other.
+at corpus scale.  Both run on raw arrays without recording a tape; the
+decoder step computes the same values as model.attend, decoder_step and
+output_logits.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from .autodiff import NEG_ONE_ABOVE, ONE_BELOW, TINY, sigmoid_values, tanh_values
+from .autodiff import sigmoid_values, tanh_values
 
-try:
-    import numba
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
+# The kernels have a single implementation; these constants describe it
+# to callers that record the run environment.
+BACKEND = "numpy"
+HAS_NUMBA = False
 
 
-def _pick_backend() -> str:
-    want = os.environ.get("QGEN_BACKEND", "").strip().lower()
-    if want not in ("", "numba", "numpy"):
-        raise ValueError(f"QGEN_BACKEND must be 'numba' or 'numpy', got {want!r}")
-    if want == "numpy":
-        return "numpy"
-    if want == "numba" and not HAS_NUMBA:
-        raise ImportError("QGEN_BACKEND=numba but numba is not importable")
-    return "numba" if HAS_NUMBA else "numpy"
-
-
-BACKEND = _pick_backend()
-
-
-# ---------------------------------------------------------------------------
-# numpy fallbacks
-# ---------------------------------------------------------------------------
-
-
-def transe_epoch_numpy(ent, rel, s_idx, r_idx, o_idx, order, corrupt_tail, neg_ent,
-                       lr, margin):
+def transe_epoch(ent, rel, s_idx, r_idx, o_idx, order, corrupt_tail, neg_ent,
+                 lr, margin):
     """One SGD epoch of margin-ranking training, in place on ent/rel.
 
     ent (E, d), rel (R, d); s_idx/r_idx/o_idx (n,) triple columns;
@@ -83,13 +53,13 @@ def transe_epoch_numpy(ent, rel, s_idx, r_idx, o_idx, order, corrupt_tail, neg_e
     return total
 
 
-def decode_step_numpy(e_w, h_prev, enc_s, enc_r, enc_o, enc_all,
-                      att_hidden, att_score,
-                      reset_emb, reset_ctx, reset_state,
-                      update_emb, update_ctx, update_state,
-                      cand_emb, cand_ctx, cand_state,
-                      out_state, out_emb, out_ctx, out_proj):
-    """One decoder step without a tape: attention, GRU update, output logits.
+def decode_step(e_w, h_prev, enc_s, enc_r, enc_o, enc_all,
+                att_hidden, att_score,
+                reset_emb, reset_ctx, reset_state,
+                update_emb, update_ctx, update_state,
+                cand_emb, cand_ctx, cand_state,
+                out_state, out_emb, out_ctx, out_proj):
+    """One decoder step: attention, GRU update, output logits.
 
     e_w (D,) previous-word embedding; h_prev (H,); enc_* (H,) atom
     encodings with enc_all (3H,) their concatenation.  Returns
@@ -110,96 +80,3 @@ def decode_step_numpy(e_w, h_prev, enc_s, enc_r, enc_o, enc_all,
                       + np.dot(out_ctx, c))
     logits = np.dot(out_proj, pre)
     return h_new, logits, alpha
-
-
-# ---------------------------------------------------------------------------
-# numba kernels (mirrors of the above; compiled lazily, cached on disk)
-# ---------------------------------------------------------------------------
-
-if HAS_NUMBA:
-    _njit = numba.njit(cache=True, nogil=True)
-
-    @_njit
-    def _sigmoid_nb(x):
-        out = np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
-        return np.minimum(np.maximum(out, TINY), ONE_BELOW)
-
-    @_njit
-    def _tanh_nb(x):
-        return np.minimum(np.maximum(np.tanh(x), NEG_ONE_ABOVE), ONE_BELOW)
-
-    @_njit
-    def transe_epoch_numba(ent, rel, s_idx, r_idx, o_idx, order, corrupt_tail,
-                           neg_ent, lr, margin):
-        d = ent.shape[1]
-        total = 0.0
-        for k in range(order.shape[0]):
-            i = order[k]
-            s, r, o = s_idx[i], r_idx[i], o_idx[i]
-            if corrupt_tail[k]:
-                ns, no = s, neg_ent[k]
-            else:
-                ns, no = neg_ent[k], o
-            f_pos = 0.0
-            f_neg = 0.0
-            for j in range(d):
-                u = ent[s, j] + rel[r, j] - ent[o, j]
-                f_pos += u * u
-                v = ent[ns, j] + rel[r, j] - ent[no, j]
-                f_neg += v * v
-            f_pos = np.sqrt(f_pos)
-            f_neg = np.sqrt(f_neg)
-            viol = margin + f_pos - f_neg
-            if viol > 0.0:
-                total += viol
-                for j in range(d):
-                    gp = 0.0
-                    if f_pos > 0.0:
-                        gp = (ent[s, j] + rel[r, j] - ent[o, j]) / f_pos
-                    gn = 0.0
-                    if f_neg > 0.0:
-                        gn = (ent[ns, j] + rel[r, j] - ent[no, j]) / f_neg
-                    # read-before-write order matches the numpy fallback:
-                    # all four gradient reads happen before any update
-                    ent[s, j] -= lr * gp
-                    ent[o, j] += lr * gp
-                    rel[r, j] -= lr * (gp - gn)
-                    ent[ns, j] += lr * gn
-                    ent[no, j] -= lr * gn
-        return total
-
-    @_njit
-    def decode_step_numba(e_w, h_prev, enc_s, enc_r, enc_o, enc_all,
-                          att_hidden, att_score,
-                          reset_emb, reset_ctx, reset_state,
-                          update_emb, update_ctx, update_state,
-                          cand_emb, cand_ctx, cand_state,
-                          out_state, out_emb, out_ctx, out_proj):
-        z = np.concatenate((enc_all, h_prev))
-        a = _tanh_nb(np.dot(att_hidden, z))
-        alpha = _sigmoid_nb(np.dot(att_score, a))
-        c = alpha[0] * enc_s + alpha[1] * enc_r + alpha[2] * enc_o
-        g_r = _sigmoid_nb(np.dot(reset_emb, e_w) + np.dot(reset_ctx, c)
-                          + np.dot(reset_state, h_prev))
-        g_u = _sigmoid_nb(np.dot(update_emb, e_w) + np.dot(update_ctx, c)
-                          + np.dot(update_state, h_prev))
-        cand = _tanh_nb(np.dot(cand_emb, e_w) + np.dot(cand_ctx, c)
-                        + np.dot(cand_state, g_r * h_prev))
-        h_new = g_u * h_prev + (1.0 - g_u) * cand
-        pre = _tanh_nb(np.dot(out_state, h_new) + np.dot(out_emb, e_w)
-                       + np.dot(out_ctx, c))
-        logits = np.dot(out_proj, pre)
-        return h_new, logits, alpha
-
-
-else:  # pragma: no cover - exercised only without numba
-    transe_epoch_numba = None
-    decode_step_numba = None
-
-
-if BACKEND == "numba":
-    transe_epoch = transe_epoch_numba
-    decode_step = decode_step_numba
-else:
-    transe_epoch = transe_epoch_numpy
-    decode_step = decode_step_numpy

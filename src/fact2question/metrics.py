@@ -249,15 +249,19 @@ def _cosine(a: np.ndarray, b: np.ndarray) -> float:
     nb = math.sqrt(float(np.dot(b, b)))
     if na == 0.0 or nb == 0.0:
         return 0.0
-    return float(np.dot(a, b)) / (na * nb)
+    # rounding can push a vector's cosine with itself just above 1
+    return min(1.0, float(np.dot(a, b)) / (na * nb))
 
 
-def _directional_mean(src, dst, store: WordVectorStore, oov: list[int]) -> float:
+def _directional_mean(src, dst, store: WordVectorStore) -> tuple[float, int]:
+    """Mean best-match cosine of src's tokens against dst, and how many
+    of src's tokens are out of vocabulary."""
     sims = []
+    oov = 0
     for token in src:
         v = store.get(token)
         if v is None:
-            oov[0] += 1
+            oov += 1
             sims.append(0.0)
             continue
         # starting at 0.0 floors negative best-matches, keeping the
@@ -268,19 +272,24 @@ def _directional_mean(src, dst, store: WordVectorStore, oov: list[int]) -> float
             if w is not None:
                 best = max(best, _cosine(v, w))
         sims.append(best)
-    return sum(sims) / len(sims)
+    return sum(sims) / len(sims), oov
+
+
+def _embedding_greedy(candidate: Sequence[str], reference: Sequence[str],
+                      store: WordVectorStore) -> tuple[float, int]:
+    """Emb. Greedy score and the OOV tokens met in both directions."""
+    if not candidate or not reference:
+        raise ContractError("embedding_greedy: empty sentence")
+    forward, oov_forward = _directional_mean(candidate, reference, store)
+    backward, oov_backward = _directional_mean(reference, candidate, store)
+    return 100.0 * 0.5 * (forward + backward), oov_forward + oov_backward
 
 
 def embedding_greedy(candidate: Sequence[str], reference: Sequence[str],
                      store: WordVectorStore) -> float:
     """Greedy non-exclusive best-cosine alignment averaged over both
     directions, in [0, 100]; OOV tokens contribute similarity 0."""
-    if not candidate or not reference:
-        raise ContractError("embedding_greedy: empty sentence")
-    oov = [0]
-    forward = _directional_mean(candidate, reference, store, oov)
-    backward = _directional_mean(reference, candidate, store, oov)
-    return 100.0 * 0.5 * (forward + backward)
+    return _embedding_greedy(candidate, reference, store)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -356,11 +365,8 @@ def evaluate_corpus(candidates: Sequence[Sequence[str]],
     for cand, ref in zip(candidates, references):
         emb = None
         if store is not None:
-            oov = [0]
-            forward = _directional_mean(cand, ref, store, oov)
-            backward = _directional_mean(ref, cand, store, oov)
-            emb = 100.0 * 0.5 * (forward + backward)
-            oov_total += oov[0]
+            emb, oov = _embedding_greedy(cand, ref, store)
+            oov_total += oov
         examples.append(ExampleScore(
             candidate=list(cand), reference=list(ref),
             precisions=sentence_precisions(cand, ref),

@@ -3,7 +3,8 @@
 A triple (s, r, o) is scored by the Euclidean norm of e_s + e_r - e_o;
 training pushes true triples below corrupted ones by a margin.  Entity
 rows are projected into the unit ball at initialization and after every
-epoch.  The per-epoch SGD loop lives in kernels.transe_epoch.
+epoch.  The per-epoch SGD loop is the tape-free numpy kernel
+kernels.transe_epoch.
 """
 
 from __future__ import annotations

@@ -1,12 +1,17 @@
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
 from fact2question import kernels
-
-needs_numba = pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba unavailable")
+from fact2question.autodiff import Tensor
+from fact2question.data import Fact, Vocabulary
+from fact2question.model import (
+    QGenParams,
+    attend,
+    decoder_step,
+    encode_fact,
+    init_state,
+    output_logits,
+)
 
 
 def _random_transe_inputs(seed, n_ent=12, n_rel=3, n_triples=40, dim=16):
@@ -22,22 +27,10 @@ def _random_transe_inputs(seed, n_ent=12, n_rel=3, n_triples=40, dim=16):
     return ent, rel, (s, r, o, order, corrupt, neg)
 
 
-@needs_numba
-@pytest.mark.parametrize("seed", range(3))
-def test_transe_epoch_backends_agree(seed):
-    ent_a, rel_a, args = _random_transe_inputs(seed)
-    ent_b, rel_b = ent_a.copy(), rel_a.copy()
-    loss_np = kernels.transe_epoch_numpy(ent_a, rel_a, *args, 0.05, 1.0)
-    loss_nb = kernels.transe_epoch_numba(ent_b, rel_b, *args, 0.05, 1.0)
-    assert loss_np == pytest.approx(loss_nb, rel=1e-12)
-    np.testing.assert_allclose(ent_a, ent_b, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(rel_a, rel_b, rtol=0, atol=1e-12)
-
-
 def test_transe_epoch_zero_lr_is_noop():
     ent, rel, args = _random_transe_inputs(7)
     ent0, rel0 = ent.copy(), rel.copy()
-    kernels.transe_epoch_numpy(ent, rel, *args, 0.0, 1.0)
+    kernels.transe_epoch(ent, rel, *args, 0.0, 1.0)
     assert np.array_equal(ent, ent0)
     assert np.array_equal(rel, rel0)
 
@@ -53,8 +46,8 @@ def test_transe_epoch_loss_is_margin_hinge():
     order = np.array([0], dtype=np.int64)
     corrupt = np.array([1], dtype=np.uint8)
     neg = np.array([1], dtype=np.int64)  # corrupted tail == true tail
-    loss = kernels.transe_epoch_numpy(ent.copy(), rel.copy(), s, r, o, order,
-                                      corrupt, neg, 0.0, 1.0)
+    loss = kernels.transe_epoch(ent.copy(), rel.copy(), s, r, o, order,
+                                corrupt, neg, 0.0, 1.0)
     assert loss == pytest.approx(1.0)
 
 
@@ -83,54 +76,52 @@ def _random_decode_inputs(seed, d=5, h=7, v=9):
             enc_all) + weights
 
 
-@needs_numba
-@pytest.mark.parametrize("seed", range(3))
-def test_decode_step_backends_agree(seed):
-    args = _random_decode_inputs(seed)
-    h_np, logits_np, alpha_np = kernels.decode_step_numpy(*args)
-    h_nb, logits_nb, alpha_nb = kernels.decode_step_numba(*args)
-    np.testing.assert_allclose(h_np, h_nb, rtol=1e-12, atol=1e-14)
-    np.testing.assert_allclose(logits_np, logits_nb, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(alpha_np, alpha_nb, rtol=1e-12, atol=1e-14)
-
-
 def test_decode_step_alpha_weighs_encodings():
     args = _random_decode_inputs(11)
     e_w, h_prev, enc_s, enc_r, enc_o, enc_all = args[:6]
-    h, logits, alpha = kernels.decode_step_numpy(*args)
+    h, logits, alpha = kernels.decode_step(*args)
     assert np.all((alpha > 0.0) & (alpha < 1.0))
     assert h.shape == h_prev.shape
     # the new state is a convex mix of old state and a bounded candidate
     assert np.max(np.abs(h)) <= max(np.max(np.abs(h_prev)), 1.0) + 1e-12
 
 
-def test_backend_dispatch_matches_selection():
-    if kernels.BACKEND == "numba":
-        assert kernels.decode_step is kernels.decode_step_numba
-    else:
-        assert kernels.decode_step is kernels.decode_step_numpy
+_STEP_WEIGHTS = (
+    "att_hidden", "att_score",
+    "reset_emb", "reset_ctx", "reset_state",
+    "update_emb", "update_ctx", "update_state",
+    "cand_emb", "cand_ctx", "cand_state",
+    "out_state", "out_emb", "out_ctx", "out_proj",
+)
 
 
-def test_env_flag_forces_numpy_backend():
-    code = (
-        "import os; os.environ['QGEN_BACKEND'] = 'numpy'; "
-        "from fact2question import kernels; "
-        "assert kernels.BACKEND == 'numpy'; "
-        "assert kernels.transe_epoch is kernels.transe_epoch_numpy; "
-        "print('ok')"
-    )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "ok"
-
-
-def test_env_flag_rejects_unknown_backend():
-    code = (
-        "import os; os.environ['QGEN_BACKEND'] = 'cuda'; "
-        "import fact2question.kernels"
-    )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True)
-    assert out.returncode != 0
-    assert "QGEN_BACKEND" in out.stderr
+@pytest.mark.parametrize("seed", range(3))
+def test_decode_step_matches_tape_forward(seed):
+    input_vocab = Vocabulary(["<unk>", "s0", "r0", "o0"])
+    fact = Fact("s0", "r0", "o0")
+    rng = np.random.default_rng(seed + 20)
+    params = QGenParams.init(n_in=4, n_out=9, d_enc=5, d_dec=6, hidden=7,
+                             seed=seed, input_emb=rng.normal(size=(4, 5)))
+    # scale the weights up so the gates and activations leave their
+    # near-linear range
+    for t in params.tensors.values():
+        t.value *= 10.0
+    t = params.tensors
+    enc = encode_fact(fact, params, input_vocab)
+    h_tape = init_state(enc, params)
+    h_kernel = h_tape.value
+    encodings = (enc.enc_s.value, enc.enc_r.value, enc.enc_o.value,
+                 enc.enc_all.value)
+    weights = tuple(t[name].value for name in _STEP_WEIGHTS)
+    for w_prev in (1, 4, 0, 8):
+        c, alpha_tape = attend(enc, h_tape, params)
+        h_tape = decoder_step(w_prev, h_tape, c, params)
+        logits_tape = output_logits(h_tape, w_prev, c, params)
+        h_kernel, logits, alpha = kernels.decode_step(
+            t["word_emb"].value[w_prev], h_kernel, *encodings, *weights)
+        np.testing.assert_allclose(h_kernel, h_tape.value, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(logits, logits_tape.value, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(alpha, alpha_tape.value, rtol=0, atol=1e-12)
+        # continue both recurrences from the kernel's state so every step
+        # is checked on the same input
+        h_tape = Tensor(h_kernel)

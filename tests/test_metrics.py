@@ -186,6 +186,11 @@ def test_embedding_greedy_identical_sentence_is_100():
     store = _store()
     assert embedding_greedy(T("east north"), T("east north"), store) == \
         pytest.approx(100.0)
+    # a vector whose cosine with itself rounds to 1.0000000000000002
+    store = WordVectorStore({"a": np.random.default_rng(3).standard_normal(8)})
+    score = embedding_greedy(["a"], ["a"], store)
+    assert score == pytest.approx(100.0)
+    assert score <= 100.0
 
 
 def test_embedding_greedy_orthogonal_is_zero():
@@ -271,6 +276,18 @@ def test_evaluate_corpus_with_store_scores_and_counts_oov():
     report = evaluate_corpus([T("east mystery")], [T("east mystery")], store)
     assert report.emb_greedy is not None
     assert report.oov_count == 2  # both directions see the unknown token
+
+    cands = [T("east mystery north"), T("big"), T("who east ?")]
+    refs = [T("northeast"), T("west unknown unknown"), T("north ?")]
+    report = evaluate_corpus(cands, refs, store)
+    for ex, c, r in zip(report.examples, cands, refs):
+        assert ex.emb_greedy == embedding_greedy(c, r, store)
+    # mystery; unknown x2; who, ? and ?
+    assert report.oov_count == sum(
+        tok not in store for c, r in zip(cands, refs) for tok in c + r) == 6
+    assert report.emb_greedy == pytest.approx(
+        np.mean([embedding_greedy(c, r, store) for c, r in zip(cands, refs)]),
+        abs=1e-12)
 
 
 def test_evaluate_corpus_matches_per_metric_oracles():
