@@ -28,6 +28,7 @@ from .data import (
     load_names,
     load_simplequestions,
     load_triples,
+    read_vectors,
     tokenize,
 )
 from .decoding import GenerationSession, generate_corpus
@@ -36,7 +37,7 @@ from .metrics import WordVectorStore, evaluate_corpus
 from .model import QGenParams, load_checkpoint, save_checkpoint, sequence_log_likelihood
 from .placeholders import SP_TOKEN, build_category_map, placeholderize_corpus
 from .training import TrainConfig, train
-from .transe import TransEConfig, TransEModel, _read_embeddings, train_transe
+from .transe import TransEConfig, TransEModel, train_transe
 
 log = logging.getLogger("fact2question")
 
@@ -384,7 +385,7 @@ def _cmd_baseline(cfg) -> int:
 
 
 def _cmd_neighbors(cfg) -> int:
-    ids, table = _read_embeddings(cfg["entity_embeddings"])
+    ids, table = read_vectors(cfg["entity_embeddings"])
     model = TransEModel(ids, [], table, np.zeros((0, table.shape[1])))
     for entity, distance in model.nearest_neighbors(cfg["entity"], cfg["k"]):
         print(f"{entity}\t{distance:.6f}")

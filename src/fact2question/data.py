@@ -5,6 +5,8 @@ File conventions:
     (subject, relationship, object, question)
   * triple files: 3 tab-separated fields (subject, relationship, object)
   * vocabulary dumps: "index<TAB>token<TAB>count" lines
+  * vector files (embeddings, word vectors): a "<count> <dim>" header,
+    then "<id> <v1> ... <vdim>" lines
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
+
+import numpy as np
 
 from .errors import ContractError, ParseError, UnknownIdError
 
@@ -155,6 +159,36 @@ def load_names(path) -> dict[str, str]:
                 )
             names[normalize_id(fields[0])] = fields[1]
     return names
+
+
+def read_vectors(path) -> tuple[list[str], np.ndarray]:
+    """Parse a vector file into (ids, table), one table row per id.
+
+    Rows are collected as lines are read, so a header count far beyond
+    the file's rows allocates nothing; the count is checked at the end.
+    """
+    rows: dict[str, np.ndarray] = {}
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().split()
+        if len(header) != 2 or not all(h.isdecimal() for h in header):
+            raise ParseError(f"{path}:1: expected '<count> <dim>' header")
+        count, dim = int(header[0]), int(header[1])
+        for lineno, line in enumerate(fh, start=2):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split(" ")
+            if len(parts) != dim + 1:
+                raise ParseError(f"{path}:{lineno}: expected id plus {dim} values")
+            if parts[0] in rows:
+                raise ParseError(f"{path}:{lineno}: duplicate id {parts[0]!r}")
+            try:
+                rows[parts[0]] = np.array([float(v) for v in parts[1:]])
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: non-numeric value") from None
+    if len(rows) != count:
+        raise ParseError(f"{path}: header promised {count} rows, found {len(rows)}")
+    return list(rows), np.array(list(rows.values())).reshape(count, dim)
 
 
 class Vocabulary:

@@ -5,15 +5,16 @@ token then runs tape-free through the numpy kernel kernels.decode_step.
 An output sequence is at most max_len tokens ending in '?': up to
 max_len - 1 tokens are chosen by the model, and a hypothesis that never
 emits '?' gets one appended (unscored).  Scores are length-unnormalized
-sums of chosen token log-probabilities.
+sums of chosen token log-probabilities.  generate_corpus decodes one fact
+at a time on one thread; the BLAS threads inside numpy are its only
+parallelism.
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -39,20 +40,13 @@ class Hypothesis:
 
 
 def worker_count() -> int:
-    """Parallel decode workers: min(QGEN_THREADS, cores); default cores."""
-    cores = os.cpu_count() or 1
-    raw = os.environ.get("QGEN_THREADS", "").strip()
-    if not raw:
-        return cores
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ContractError(f"QGEN_THREADS must be an integer, got {raw!r}")
-    return max(1, min(n, cores))
+    """Always 1, as corpus generation decodes on one thread; kept for
+    callers that record the run environment."""
+    return 1
 
 
 class GenerationSession:
-    """Read-only decoding state shared across facts (and across threads)."""
+    """Read-only decoding state shared across facts."""
 
     def __init__(self, params: QGenParams, input_vocab: Vocabulary,
                  output_vocab: Vocabulary,
@@ -178,65 +172,40 @@ def generate_corpus(facts_path, session: GenerationSession, output_path,
     """Stream a triple file through the decoder into a 4-field TSV.
 
     Facts whose atoms are unknown to the encoder are skipped.  Returns
-    (written, skipped).  Output order follows input order regardless of
-    the worker count.
+    (written, skipped).  Output order follows input order.  The corpus is
+    written beside output_path and moved there only once every line has
+    decoded, so a failed run never leaves a partial corpus at that path.
     """
-
-    def decode_line(item):
-        lineno, line = item
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise ParseError(
-                f"{facts_path}:{lineno}: expected 3 tab-separated fields, "
-                f"got {len(fields)}"
-            )
-        fact = Fact(*(normalize_id(f) for f in fields))
-        try:
-            if width == 1:
-                indices = session.greedy_indices(fact)
-            else:
-                indices = session.beam_indices(fact, width)[0].tokens
-        except UnknownIdError:
-            return fact, None
-        return fact, " ".join(session.to_words(indices, fact))
-
-    def lines():
-        with open(facts_path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                raw = raw.rstrip("\n")
-                if raw:
-                    yield lineno, raw
-
+    output_path = Path(output_path)
+    tmp_path = output_path.with_name(f".{output_path.name}.{os.getpid()}.tmp")
     written = 0
     skipped = 0
-    workers = worker_count()
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
-        if pool:
-            # bounded in-flight window: pool.map would slurp the whole file
-            results = _bounded_ordered_map(decode_line, lines(), pool,
-                                           window=workers * 4)
-        else:
-            results = map(decode_line, lines())
-        with open(output_path, "w", encoding="utf-8") as out:
-            for fact, question in results:
-                if question is None:
+        with open(facts_path, encoding="utf-8") as fh, \
+                open(tmp_path, "w", encoding="utf-8") as out:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                fields = line.split("\t")
+                if len(fields) != 3:
+                    raise ParseError(
+                        f"{facts_path}:{lineno}: expected 3 tab-separated fields, "
+                        f"got {len(fields)}"
+                    )
+                fact = Fact(*(normalize_id(f) for f in fields))
+                try:
+                    if width == 1:
+                        indices = session.greedy_indices(fact)
+                    else:
+                        indices = session.beam_indices(fact, width)[0].tokens
+                except UnknownIdError:
                     skipped += 1
                     continue
-                out.write(f"{fact.subject}\t{fact.relationship}\t"
-                          f"{fact.object}\t{question}\n")
+                out.write(f"{fact.subject}\t{fact.relationship}\t{fact.object}\t"
+                          f"{' '.join(session.to_words(indices, fact))}\n")
                 written += 1
+        os.replace(tmp_path, output_path)
     finally:
-        if pool:
-            pool.shutdown()
+        tmp_path.unlink(missing_ok=True)
     return written, skipped
-
-
-def _bounded_ordered_map(fn, items, pool, window: int):
-    pending = deque()
-    for item in items:
-        pending.append(pool.submit(fn, item))
-        if len(pending) >= window:
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()

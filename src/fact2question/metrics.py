@@ -17,7 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractError, ParseError
+from .data import read_vectors
+from .errors import ContractError
 from .porter import stem
 
 BLEU_EPSILON = 1e-9
@@ -33,20 +34,23 @@ def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
+def _clipped_matches(candidate: Sequence[str], reference: Sequence[str],
+                     n: int) -> tuple[int, int]:
+    """Candidate n-grams found in the reference (each clipped to its
+    reference count), and the candidate's n-gram total."""
+    cand = _ngram_counts(candidate, n)
+    ref = _ngram_counts(reference, n)
+    return sum(min(v, ref[g]) for g, v in cand.items()), sum(cand.values())
+
+
 def sentence_precisions(candidate: Sequence[str], reference: Sequence[str],
                         max_n: int = 4) -> tuple[float, ...]:
     """Per-sentence modified n-gram precisions (0.0 when no n-grams fit);
     report decoration only, the corpus score pools counts instead."""
     out = []
     for n in range(1, max_n + 1):
-        cand = _ngram_counts(candidate, n)
-        ref = _ngram_counts(reference, n)
-        total = sum(cand.values())
-        if total == 0:
-            out.append(0.0)
-            continue
-        matched = sum(min(v, ref[g]) for g, v in cand.items())
-        out.append(matched / total)
+        matched, total = _clipped_matches(candidate, reference, n)
+        out.append(matched / total if total else 0.0)
     return tuple(out)
 
 
@@ -68,10 +72,9 @@ def bleu(candidates: Sequence[Sequence[str]], references: Sequence[Sequence[str]
         cand_len += len(cand)
         ref_len += len(ref)
         for n in range(1, max_n + 1):
-            cc = _ngram_counts(cand, n)
-            rc = _ngram_counts(ref, n)
-            total[n - 1] += sum(cc.values())
-            matched[n - 1] += sum(min(v, rc[g]) for g, v in cc.items())
+            hits, count = _clipped_matches(cand, ref, n)
+            matched[n - 1] += hits
+            total[n - 1] += count
     log_sum = 0.0
     for n in range(max_n):
         if total[n] == 0:
@@ -215,27 +218,8 @@ class WordVectorStore:
 
     @classmethod
     def load(cls, path) -> "WordVectorStore":
-        vectors: dict[str, np.ndarray] = {}
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().split()
-            if len(header) != 2:
-                raise ParseError(f"{path}:1: expected '<count> <dim>' header")
-            count, dim = int(header[0]), int(header[1])
-            for lineno, line in enumerate(fh, start=2):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split(" ")
-                if len(parts) != dim + 1:
-                    raise ParseError(
-                        f"{path}:{lineno}: expected token plus {dim} values"
-                    )
-                vectors[parts[0]] = np.array([float(v) for v in parts[1:]])
-        if len(vectors) != count:
-            raise ParseError(
-                f"{path}: header promised {count} vectors, found {len(vectors)}"
-            )
-        return cls(vectors)
+        tokens, table = read_vectors(path)
+        return cls(dict(zip(tokens, table)))
 
     def __contains__(self, token: str) -> bool:
         return token in self._vectors
@@ -330,25 +314,24 @@ class MetricReport:
             lines.append(f"oov-tokens\t{self.oov_count}")
         return lines
 
-    def write_tsv(self, path, include_examples: bool = True) -> None:
+    def write_tsv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             for note in REPORT_NOTES:
                 fh.write(f"# {note}\n")
             for line in self.summary_lines():
                 fh.write(line + "\n")
-            if include_examples:
-                fh.write("candidate\treference\t"
-                         + "\t".join(f"p{n}" for n in range(1, 5))
-                         + "\tmeteor-lite\temb-greedy\n")
-                for ex in self.examples:
-                    emb = "" if ex.emb_greedy is None else f"{ex.emb_greedy:.4f}"
-                    fh.write("\t".join([
-                        " ".join(ex.candidate),
-                        " ".join(ex.reference),
-                        *(f"{p:.6f}" for p in ex.precisions),
-                        f"{ex.meteor_lite:.4f}",
-                        emb,
-                    ]) + "\n")
+            fh.write("candidate\treference\t"
+                     + "\t".join(f"p{n}" for n in range(1, 5))
+                     + "\tmeteor-lite\temb-greedy\n")
+            for ex in self.examples:
+                emb = "" if ex.emb_greedy is None else f"{ex.emb_greedy:.4f}"
+                fh.write("\t".join([
+                    " ".join(ex.candidate),
+                    " ".join(ex.reference),
+                    *(f"{p:.6f}" for p in ex.precisions),
+                    f"{ex.meteor_lite:.4f}",
+                    emb,
+                ]) + "\n")
 
 
 def evaluate_corpus(candidates: Sequence[Sequence[str]],

@@ -16,8 +16,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import kernels
-from .data import Fact
-from .errors import ContractError, ParseError, UnknownIdError
+from .data import Fact, read_vectors
+from .errors import ContractError, UnknownIdError
 
 log = logging.getLogger(__name__)
 
@@ -28,7 +28,6 @@ class TransEConfig:
     margin: float = 1.0
     learning_rate: float = 0.01
     epochs: int = 100
-    negative: str = "uniform"
     seed: int = 0
 
     def __post_init__(self):
@@ -40,8 +39,6 @@ class TransEConfig:
             raise ContractError(f"learning rate must be >= 0, got {self.learning_rate}")
         if self.epochs < 0:
             raise ContractError(f"epochs must be >= 0, got {self.epochs}")
-        if self.negative != "uniform":
-            raise ContractError(f"unsupported negative sampling mode {self.negative!r}")
 
 
 def _project_to_unit_ball(rows: np.ndarray) -> None:
@@ -124,8 +121,8 @@ class TransEModel:
 
     @classmethod
     def load(cls, entity_path, relationship_path) -> "TransEModel":
-        ent_ids, ent = _read_embeddings(entity_path)
-        rel_ids, rel = _read_embeddings(relationship_path)
+        ent_ids, ent = read_vectors(entity_path)
+        rel_ids, rel = read_vectors(relationship_path)
         return cls(ent_ids, rel_ids, ent, rel)
 
 
@@ -134,30 +131,6 @@ def _write_embeddings(path, ids: Sequence[str], table: np.ndarray) -> None:
         fh.write(f"{len(ids)} {table.shape[1]}\n")
         for eid, row in zip(ids, table):
             fh.write(eid + " " + " ".join(repr(float(v)) for v in row) + "\n")
-
-
-def _read_embeddings(path) -> tuple[list[str], np.ndarray]:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ParseError(f"{path}:1: expected '<count> <dim>' header")
-        count, dim = int(header[0]), int(header[1])
-        ids: list[str] = []
-        table = np.empty((count, dim), dtype=np.float64)
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(" ")
-            if len(parts) != dim + 1:
-                raise ParseError(f"{path}:{lineno}: expected id plus {dim} values")
-            if len(ids) >= count:
-                raise ParseError(f"{path}:{lineno}: more rows than the header count")
-            ids.append(parts[0])
-            table[len(ids) - 1] = [float(v) for v in parts[1:]]
-    if len(ids) != count:
-        raise ParseError(f"{path}: header promised {count} rows, found {len(ids)}")
-    return ids, table
 
 
 def train_transe(triples: Iterable[Fact], config: TransEConfig) -> TransEModel:

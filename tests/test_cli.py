@@ -73,6 +73,13 @@ def test_evaluate_missing_file_exits_two(tmp_path, capsys):
                 "--references", str(missing)]) == 2
 
 
+def test_neighbors_bad_embedding_header_exits_two(tmp_path, capsys):
+    f = tmp_path / "entities.txt"
+    f.write_text("100000000000 200\nx 1.0\n", encoding="utf-8")
+    assert run(["neighbors", "--entity-embeddings", str(f), "--entity", "x"]) == 2
+    assert "entities.txt:2" in capsys.readouterr().err
+
+
 def test_missing_required_flag_exits_one(capsys):
     assert run(["evaluate", "--candidates", "only-this"]) == 1
 

@@ -9,9 +9,8 @@ from fact2question.decoding import (
     beam_search,
     generate_corpus,
     greedy_decode,
-    worker_count,
 )
-from fact2question.errors import ContractError
+from fact2question.errors import ContractError, ParseError
 from fact2question.model import (
     QGenParams,
     attend,
@@ -203,24 +202,31 @@ def test_generate_corpus_skips_unknown_atoms(tmp_path):
     assert (written, skipped) == (1, 1)
 
 
-def test_generate_corpus_deterministic_and_parallel_order(tmp_path, monkeypatch):
+def test_generate_corpus_deterministic_and_in_input_order(tmp_path):
     session, _, _ = _session(["<unk>", "<bos>", "?", "a", "b"], seed=4)
-    facts = tmp_path / "facts.tsv"
-    facts.write_text("".join(f"s{i % 2}\tr0\to0\n" for i in range(40)),
-                     encoding="utf-8")
+    # every third fact has an unknown subject and is skipped
+    facts = [("mystery" if i % 3 == 2 else f"s{i % 2}", "r0",
+              "o0" if i % 4 < 2 else "s1") for i in range(40)]
+    facts_path = tmp_path / "facts.tsv"
+    facts_path.write_text("".join("\t".join(f) + "\n" for f in facts),
+                          encoding="utf-8")
     out1, out2 = tmp_path / "c1.tsv", tmp_path / "c2.tsv"
-    monkeypatch.setenv("QGEN_THREADS", "1")
-    generate_corpus(facts, session, out1, width=1)
-    monkeypatch.setenv("QGEN_THREADS", "4")
-    generate_corpus(facts, session, out2, width=1)
+    assert generate_corpus(facts_path, session, out1, width=1) == (27, 13)
+    generate_corpus(facts_path, session, out2, width=1)
     assert out1.read_bytes() == out2.read_bytes()
+    known = [Fact(*f) for f in facts if f[0] != "mystery"]
+    rows = [line.split("\t")
+            for line in out1.read_text(encoding="utf-8").splitlines()]
+    assert [Fact(*row[:3]) for row in rows] == known
+    assert [row[3] for row in rows] == [" ".join(session.greedy(f)) for f in known]
 
 
-def test_worker_count_env_override(monkeypatch):
-    monkeypatch.setenv("QGEN_THREADS", "2")
-    assert worker_count() <= 2
-    monkeypatch.setenv("QGEN_THREADS", "not-a-number")
-    with pytest.raises(ContractError):
-        worker_count()
-    monkeypatch.delenv("QGEN_THREADS")
-    assert worker_count() >= 1
+def test_generate_corpus_leaves_no_partial_output(tmp_path):
+    session, _, _ = _session(["<unk>", "<bos>", "?", "a"], seed=2)
+    facts = tmp_path / "facts.tsv"
+    facts.write_text("s0\tr0\to0\ns1\tr0\to0\ns0\tr0\n", encoding="utf-8")
+    out = tmp_path / "corpus.tsv"
+    with pytest.raises(ParseError, match="facts.tsv:3"):
+        generate_corpus(facts, session, out, width=1)
+    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["facts.tsv"]

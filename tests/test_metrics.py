@@ -254,6 +254,18 @@ def test_word_vector_store_rejects_bad_files(tmp_path):
     bad_count.write_text("2 2\nalpha 1.0 2.0\n", encoding="utf-8")
     with pytest.raises(ParseError):
         WordVectorStore.load(bad_count)
+    huge_count = tmp_path / "d.txt"
+    huge_count.write_text("100000000000 1\nalpha 1.0\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="promised 100000000000 rows, found 1"):
+        WordVectorStore.load(huge_count)
+    duplicate = tmp_path / "e.txt"
+    duplicate.write_text("2 1\nalpha 1.0\nalpha 2.0\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="e.txt:3: duplicate id 'alpha'"):
+        WordVectorStore.load(duplicate)
+    not_a_number = tmp_path / "f.txt"
+    not_a_number.write_text("1 1\nalpha one\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="f.txt:2"):
+        WordVectorStore.load(not_a_number)
 
 
 # ---------------------------------------------------------------------------

@@ -66,8 +66,6 @@ def test_config_validation():
         TransEConfig(dim=0)
     with pytest.raises(ContractError):
         TransEConfig(margin=0.0)
-    with pytest.raises(ContractError):
-        TransEConfig(negative="bernoulli")
     TransEConfig(learning_rate=0.0)  # zero step size is allowed
 
 
@@ -175,4 +173,15 @@ def test_embedding_file_header_mismatch(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("2 3\nx 1.0 2.0 3.0\n", encoding="utf-8")
     with pytest.raises(ParseError):
+        TransEModel.load(path, path)
+
+
+@pytest.mark.parametrize("text, where", [
+    ("100000000000 200\nx 1.0\n", "bad.txt:2"),  # the header count allocates nothing
+    ("2 1\nx 1.0\nx 2.0\n", "bad.txt:3: duplicate id 'x'"),
+], ids=["huge-header", "duplicate-id"])
+def test_embedding_file_bad_rows_name_the_line(tmp_path, text, where):
+    path = tmp_path / "bad.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError, match=where):
         TransEModel.load(path, path)
