@@ -10,7 +10,6 @@ Ops run fine without an open tape: they just compute values eagerly.
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -80,19 +79,10 @@ class Tensor:
         return f"Tensor{label}(shape={self.value.shape})"
 
 
-class _TapeStack(threading.local):
-    def __init__(self):
-        self.stack: list[Tape] = []
-
-
-_TAPES = _TapeStack()
-
-
 class Tape:
     """Ordered record of the primitive ops applied during a forward pass.
 
-    Tapes are single-threaded; distinct tapes may run on distinct threads
-    (the active-tape stack is thread-local).
+    Open tapes form one stack for the process; the innermost records.
     """
 
     def __init__(self):
@@ -101,11 +91,11 @@ class Tape:
         self._params: dict[str, Tensor] = {}
 
     def __enter__(self) -> "Tape":
-        _TAPES.stack.append(self)
+        _TAPES.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _TAPES.stack.pop()
+        popped = _TAPES.pop()
         assert popped is self, "tapes closed out of order"
         return False
 
@@ -122,9 +112,11 @@ class Tape:
         return len(self._entries)
 
 
+_TAPES: list[Tape] = []
+
+
 def _active() -> Tape | None:
-    stack = _TAPES.stack
-    return stack[-1] if stack else None
+    return _TAPES[-1] if _TAPES else None
 
 
 def _record(out: Tensor, parents: tuple[Tensor, ...], backward: Callable) -> None:
@@ -170,12 +162,6 @@ def scale(s: Tensor, v: Tensor) -> Tensor:
         raise DimensionError(f"scale: scalar expected, got shape {s.shape}")
     out = Tensor(s.value * v.value)
     _record(out, (s, v), lambda g: (np.asarray(np.sum(g * v.value)), s.value * g))
-    return out
-
-
-def neg(x: Tensor) -> Tensor:
-    out = Tensor(-x.value)
-    _record(out, (x,), lambda g: (-g,))
     return out
 
 

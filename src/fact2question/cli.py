@@ -13,6 +13,7 @@ import argparse
 import logging
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Callable
 
@@ -28,8 +29,11 @@ from .data import (
     load_names,
     load_simplequestions,
     load_triples,
+    question_line,
+    read_facts,
     read_vectors,
     tokenize,
+    unique_facts,
 )
 from .decoding import GenerationSession, generate_corpus
 from .errors import Fact2QuestionError, TrainingDivergedError, UnseenRelationshipError
@@ -212,23 +216,11 @@ def _effective_config(args: argparse.Namespace, options: list[Option]) -> dict:
 
 
 def _cmd_train_transe(cfg) -> int:
-    triples = []
-    seen = set()
-    duplicates = 0
-    for path in _paths(cfg["triples"]):
-        facts, dups = load_triples(path)
-        duplicates += dups
-        for fact in facts:
-            if fact in seen:
-                duplicates += 1
-            else:
-                seen.add(fact)
-                triples.append(fact)
-    for path in _paths(cfg["questions"]):
-        for pair in load_simplequestions(path):
-            if pair.fact not in seen:
-                seen.add(pair.fact)
-                triples.append(pair.fact)
+    triples, duplicates = unique_facts(
+        fact for path in _paths(cfg["triples"]) for fact in read_facts(path))
+    question_facts = (pair.fact for path in _paths(cfg["questions"])
+                      for pair in load_simplequestions(path))
+    triples, _ = unique_facts(chain(triples, question_facts))
     if not triples:
         raise UsageError("no triples: pass --triples and/or --questions")
     log.info("training on %d unique triples (%d duplicates dropped)",
@@ -376,8 +368,7 @@ def _cmd_baseline(cfg) -> int:
             except UnseenRelationshipError:
                 unseen += 1
                 continue
-            out.write(f"{fact.subject}\t{fact.relationship}\t{fact.object}\t"
-                      f"{' '.join(words)}\n")
+            out.write(question_line(fact, words))
             written += 1
     print(f"wrote {written} baseline questions "
           f"({unseen} facts skipped: unseen relationship)")

@@ -1,10 +1,13 @@
 """Facts, question-answer pairs, vocabularies, and the TSV loaders.
 
 File conventions:
-  * question files: UTF-8, LF lines, 4 tab-separated fields
-    (subject, relationship, object, question)
-  * triple files: 3 tab-separated fields (subject, relationship, object)
-  * vocabulary dumps: "index<TAB>token<TAB>count" lines
+  * tab-separated files are UTF-8 with LF lines; blank lines are skipped,
+    and read_tsv rejects a line with the wrong field count
+  * question files: 4 fields (subject, relationship, object, question)
+  * triple files: 3 fields (subject, relationship, object)
+  * name files: 2 fields (id, display name)
+  * vocabulary dumps: 3 fields (index, token, count)
+  * category maps: 2 fields (relationship, category)
   * vector files (embeddings, word vectors): a "<count> <dim>" header,
     then "<id> <v1> ... <vdim>" lines
 """
@@ -16,7 +19,7 @@ import logging
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -91,74 +94,70 @@ class QAPair:
             )
 
 
-def load_simplequestions(path) -> list[QAPair]:
-    """Parse a 4-field question file; blank questions are skipped (logged)."""
-    pairs: list[QAPair] = []
-    skipped = 0
+def read_tsv(path, n_fields: int) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line number, fields) for each non-blank line of a TSV file.
+
+    A line without exactly n_fields fields raises ParseError naming
+    file:line.
+    """
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
             fields = line.split("\t")
-            if len(fields) != 4:
+            if len(fields) != n_fields:
                 raise ParseError(
-                    f"{path}:{lineno}: expected 4 tab-separated fields, "
+                    f"{path}:{lineno}: expected {n_fields} tab-separated fields, "
                     f"got {len(fields)}"
                 )
-            subject, relationship, object_, question = fields
-            if not question.strip():
-                skipped += 1
-                continue
-            fact = Fact(normalize_id(subject), normalize_id(relationship),
-                        normalize_id(object_))
-            pairs.append(QAPair(fact, tuple(tokenize(question))))
+            yield lineno, fields
+
+
+def load_simplequestions(path) -> list[QAPair]:
+    """Parse a 4-field question file; blank questions are skipped (logged)."""
+    pairs: list[QAPair] = []
+    skipped = 0
+    for _, (subject, relationship, object_, question) in read_tsv(path, 4):
+        if not question.strip():
+            skipped += 1
+            continue
+        fact = Fact(normalize_id(subject), normalize_id(relationship),
+                    normalize_id(object_))
+        pairs.append(QAPair(fact, tuple(tokenize(question))))
     if skipped:
         log.warning("%s: skipped %d lines with empty questions", path, skipped)
     return pairs
 
 
+def question_line(fact: Fact, words: Iterable[str]) -> str:
+    """One line of a question file: the fact's ids and the question words."""
+    return f"{fact.subject}\t{fact.relationship}\t{fact.object}\t{' '.join(words)}\n"
+
+
+def read_facts(path) -> Iterator[Fact]:
+    """Every fact of a 3-field triple file, in file order, repeats included."""
+    for _, fields in read_tsv(path, 3):
+        yield Fact(*(normalize_id(f) for f in fields))
+
+
+def unique_facts(facts: Iterable[Fact]) -> tuple[list[Fact], int]:
+    """The first occurrence of each fact, in order, and the repeats dropped."""
+    unique: dict[Fact, None] = {}
+    n = 0
+    for n, fact in enumerate(facts, start=1):
+        unique[fact] = None
+    return list(unique), n - len(unique)
+
+
 def load_triples(path) -> tuple[list[Fact], int]:
     """Parse a 3-field triple file; returns (deduplicated facts, dup count)."""
-    facts: list[Fact] = []
-    seen: set[Fact] = set()
-    duplicates = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ParseError(
-                    f"{path}:{lineno}: expected 3 tab-separated fields, "
-                    f"got {len(fields)}"
-                )
-            fact = Fact(*(normalize_id(f) for f in fields))
-            if fact in seen:
-                duplicates += 1
-                continue
-            seen.add(fact)
-            facts.append(fact)
-    return facts, duplicates
+    return unique_facts(read_facts(path))
 
 
 def load_names(path) -> dict[str, str]:
     """Optional id -> display-string map, 2 tab-separated fields per line."""
-    names: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ParseError(
-                    f"{path}:{lineno}: expected 2 tab-separated fields, "
-                    f"got {len(fields)}"
-                )
-            names[normalize_id(fields[0])] = fields[1]
-    return names
+    return {normalize_id(key): name for _, (key, name) in read_tsv(path, 2)}
 
 
 def read_vectors(path) -> tuple[list[str], np.ndarray]:
@@ -189,6 +188,14 @@ def read_vectors(path) -> tuple[list[str], np.ndarray]:
     if len(rows) != count:
         raise ParseError(f"{path}: header promised {count} rows, found {len(rows)}")
     return list(rows), np.array(list(rows.values())).reshape(count, dim)
+
+
+def write_vectors(path, ids: Sequence[str], table: np.ndarray) -> None:
+    """Write a vector file that read_vectors reads back exactly."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{len(ids)} {table.shape[1]}\n")
+        for eid, row in zip(ids, table):
+            fh.write(eid + " " + " ".join(repr(float(v)) for v in row) + "\n")
 
 
 class Vocabulary:
@@ -252,21 +259,17 @@ class Vocabulary:
     def load(cls, path) -> "Vocabulary":
         tokens: list[str] = []
         counts: dict[str, int] = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                fields = line.split("\t")
-                if len(fields) != 3:
-                    raise ParseError(
-                        f"{path}:{lineno}: expected 3 tab-separated fields"
-                    )
-                idx, tok, count = fields
-                if int(idx) != len(tokens):
-                    raise ParseError(f"{path}:{lineno}: indices out of order")
-                tokens.append(tok)
-                counts[tok] = int(count)
+        for lineno, (idx, tok, count) in read_tsv(path, 3):
+            try:
+                index, n = int(idx), int(count)
+            except ValueError:
+                raise ParseError(
+                    f"{path}:{lineno}: index and count must be integers"
+                ) from None
+            if index != len(tokens):
+                raise ParseError(f"{path}:{lineno}: indices out of order")
+            tokens.append(tok)
+            counts[tok] = n
         return cls(tokens, counts=counts)
 
 

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import kernels
 from .autodiff import log_softmax_values
-from .data import BOS, QMARK, Fact, Vocabulary, normalize_id
-from .errors import ContractError, ParseError, UnknownIdError
+from .data import BOS, QMARK, Fact, Vocabulary, question_line, read_facts
+from .errors import ContractError, UnknownIdError
 from .model import QGenParams, encode_fact, init_state
 from .placeholders import restore, subject_text
 
@@ -181,19 +181,8 @@ def generate_corpus(facts_path, session: GenerationSession, output_path,
     written = 0
     skipped = 0
     try:
-        with open(facts_path, encoding="utf-8") as fh, \
-                open(tmp_path, "w", encoding="utf-8") as out:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                fields = line.split("\t")
-                if len(fields) != 3:
-                    raise ParseError(
-                        f"{facts_path}:{lineno}: expected 3 tab-separated fields, "
-                        f"got {len(fields)}"
-                    )
-                fact = Fact(*(normalize_id(f) for f in fields))
+        with open(tmp_path, "w", encoding="utf-8") as out:
+            for fact in read_facts(facts_path):
                 try:
                     if width == 1:
                         indices = session.greedy_indices(fact)
@@ -202,8 +191,7 @@ def generate_corpus(facts_path, session: GenerationSession, output_path,
                 except UnknownIdError:
                     skipped += 1
                     continue
-                out.write(f"{fact.subject}\t{fact.relationship}\t{fact.object}\t"
-                          f"{' '.join(session.to_words(indices, fact))}\n")
+                out.write(question_line(fact, session.to_words(indices, fact)))
                 written += 1
         os.replace(tmp_path, output_path)
     finally:

@@ -26,6 +26,7 @@ tensor is trainable.  Loading verifies the vocabulary hashes.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -310,8 +311,8 @@ def load_checkpoint(path, input_vocab: Vocabulary,
         name = take(name_len).decode("utf-8")
         (ndim,) = struct.unpack("<B", take(1))
         shape = tuple(struct.unpack("<I", take(4))[0] for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
-        arrays[name] = np.frombuffer(take(8 * count), dtype="<f8").reshape(shape).copy()
+        raw = take(8 * math.prod(shape))
+        arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
     if off != len(data):
         raise ParseError(f"{path}: trailing bytes after checkpoint payload")
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from difflib import SequenceMatcher
 from typing import Iterable, Mapping
 
-from .data import Fact, QAPair, QMARK, tokenize_phrase
+from .data import Fact, QAPair, QMARK, read_tsv, tokenize_phrase
 from .errors import ContractError, NoSubjectSpanError
 
 SP_TOKEN = "<placeholder>"
@@ -114,15 +114,7 @@ class CategoryMap:
 
     @classmethod
     def load(cls, path) -> "CategoryMap":
-        mapping: dict[str, str] = {}
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                rel, category = line.split("\t")
-                mapping[rel] = category
-        return cls(mapping)
+        return cls({rel: category for _, (rel, category) in read_tsv(path, 2)})
 
 
 def subject_type_segment(relationship: str) -> str | None:

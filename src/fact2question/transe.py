@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import kernels
-from .data import Fact, read_vectors
+from .data import Fact, read_vectors, write_vectors
 from .errors import ContractError, UnknownIdError
 
 log = logging.getLogger(__name__)
@@ -116,21 +116,14 @@ class TransEModel:
         return [(eid, d) for d, eid in ranked[:k]]
 
     def save(self, entity_path, relationship_path) -> None:
-        _write_embeddings(entity_path, self.entity_ids, self.entities)
-        _write_embeddings(relationship_path, self.relationship_ids, self.relationships)
+        write_vectors(entity_path, self.entity_ids, self.entities)
+        write_vectors(relationship_path, self.relationship_ids, self.relationships)
 
     @classmethod
     def load(cls, entity_path, relationship_path) -> "TransEModel":
         ent_ids, ent = read_vectors(entity_path)
         rel_ids, rel = read_vectors(relationship_path)
         return cls(ent_ids, rel_ids, ent, rel)
-
-
-def _write_embeddings(path, ids: Sequence[str], table: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{len(ids)} {table.shape[1]}\n")
-        for eid, row in zip(ids, table):
-            fh.write(eid + " " + " ".join(repr(float(v)) for v in row) + "\n")
 
 
 def train_transe(triples: Iterable[Fact], config: TransEConfig) -> TransEModel:

@@ -13,7 +13,6 @@ from fact2question.autodiff import (
     log_softmax,
     matvec,
     mul,
-    neg,
     one_minus,
     pick,
     scale,
@@ -189,7 +188,7 @@ def _random_composite_loss(params, x):
     """Mixes every op: two layers, attention-style scaling, log-softmax pick."""
     h = tanh_act(matvec(params["w1"], x))
     gate = sigmoid(matvec(params["w2"], h))
-    mixed = add(mul(gate, h), mul(one_minus(gate), neg(h)))
+    mixed = add(mul(gate, h), mul(one_minus(gate), mul(h, h)))
     alpha = softmax(matvec(params["w3"], concat((mixed, h))))
     ctx = add(scale(pick(alpha, 0), mixed), scale(pick(alpha, 1), h))
     row = take_row(params["emb"], 1)

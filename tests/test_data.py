@@ -198,6 +198,18 @@ def test_vocabulary_dump_load_round_trip(tmp_path):
     assert reloaded.count("what") == 1
 
 
+@pytest.mark.parametrize("line, message", [
+    ("1\t<bos>\tx", "index and count must be integers"),
+    ("one\t<bos>\t1", "index and count must be integers"),
+    ("1\t<bos>", "expected 3 tab-separated fields, got 2"),
+], ids=["non-integer-count", "non-integer-index", "two-fields"])
+def test_vocabulary_load_bad_line_names_file_and_line(tmp_path, line, message):
+    path = tmp_path / "vocab.tsv"
+    path.write_text(f"0\t<unk>\t1\n{line}\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=f"vocab.tsv:2: {message}"):
+        Vocabulary.load(path)
+
+
 def test_vocabulary_hash_ignores_counts_but_not_order():
     a = Vocabulary(["x", "y"], counts={"x": 1})
     b = Vocabulary(["x", "y"], counts={"x": 99})

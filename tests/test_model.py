@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from fact2question.autodiff import Tape, Tensor, backprop, finite_diff_check
 from fact2question.data import BOS, Fact, Vocabulary
 from fact2question.errors import ContractError, ParseError, UnknownIdError
 from fact2question.model import (
+    CHECKPOINT_MAGIC,
     QGenParams,
     attend,
     decoder_step,
@@ -333,4 +335,16 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "checkpoint.bin"
     path.write_bytes(b"not a checkpoint at all")
     with pytest.raises(ParseError):
+        load_checkpoint(path, INPUT_VOCAB, OUTPUT_VOCAB)
+
+
+def test_checkpoint_rejects_overflowing_tensor_extents(tmp_path):
+    # the extents multiply past 2**63; the byte count must not wrap around
+    path = tmp_path / "checkpoint.bin"
+    save_checkpoint(path, _params(seed=13), "sp", INPUT_VOCAB, OUTPUT_VOCAB)
+    header = path.read_bytes()[:len(CHECKPOINT_MAGIC) + 4 + 1 + len(b"sp") + 64]
+    name = b"input_emb"
+    path.write_bytes(header + struct.pack("<IH", 1, len(name)) + name
+                     + struct.pack("<BII", 2, 2**32 - 1, 2**31 + 1))
+    with pytest.raises(ParseError, match="truncated checkpoint"):
         load_checkpoint(path, INPUT_VOCAB, OUTPUT_VOCAB)

@@ -3,7 +3,7 @@ from difflib import SequenceMatcher
 import pytest
 
 from fact2question.data import Fact, QAPair, tokenize
-from fact2question.errors import ContractError, NoSubjectSpanError
+from fact2question.errors import ContractError, NoSubjectSpanError, ParseError
 from fact2question.placeholders import (
     SP_TOKEN,
     CategoryMap,
@@ -197,6 +197,16 @@ def test_category_map_dump_load(tmp_path):
     cmap.dump(path)
     reloaded = CategoryMap.load(path)
     assert reloaded.by_relationship == cmap.by_relationship
+
+
+@pytest.mark.parametrize("line, got", [("rel", 1), ("rel\tcat\textra", 3)],
+                         ids=["one-field", "three-fields"])
+def test_category_map_load_field_count_names_line(tmp_path, line, got):
+    path = tmp_path / "categories.tsv"
+    path.write_text(f"a/b/c\tb\n{line}\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=f"categories.tsv:2: expected 2 "
+                                         f"tab-separated fields, got {got}"):
+        CategoryMap.load(path)
 
 
 def test_category_tokens_are_recognized_placeholders():
