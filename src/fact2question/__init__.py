@@ -8,7 +8,7 @@ METEOR-lite / Embedding-Greedy scoring (metrics).
 """
 
 from .autodiff import Tape, Tensor, backprop, finite_diff_check
-from .data import Dataset, Fact, QAPair, Vocabulary, load_simplequestions, load_triples, tokenize
+from .data import Fact, QAPair, Vocabulary, load_simplequestions, load_triples, tokenize
 from .errors import Fact2QuestionError
 from .model import QGenParams, sequence_log_likelihood
 from .transe import TransEConfig, TransEModel, train_transe
@@ -16,7 +16,6 @@ from .transe import TransEConfig, TransEModel, train_transe
 __version__ = "0.1.0"
 
 __all__ = [
-    "Dataset",
     "Fact",
     "Fact2QuestionError",
     "QAPair",

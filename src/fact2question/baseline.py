@@ -25,9 +25,6 @@ class TemplateIndex:
 
     by_relationship: dict[str, list[tuple[str, ...]]]
 
-    def template_count(self, relationship: str) -> int:
-        return len(self.by_relationship.get(relationship, ()))
-
 
 def build_template_index(
     placeholderized: Iterable[PlaceholderizedQuestion],

@@ -32,14 +32,18 @@ from .data import (
     question_line,
     read_facts,
     read_vectors,
+    replacing_writer,
     tokenize,
     unique_facts,
 )
-from .decoding import GenerationSession, generate_corpus
+from .decoding import (DEFAULT_BEAM_WIDTH, DEFAULT_MAX_LEN, GenerationSession,
+                       generate_corpus)
 from .errors import Fact2QuestionError, TrainingDivergedError, UnseenRelationshipError
+from .evaluation import validation_scorer
 from .metrics import WordVectorStore, evaluate_corpus
 from .model import QGenParams, load_checkpoint, save_checkpoint, sequence_log_likelihood
-from .placeholders import SP_TOKEN, build_category_map, placeholderize_corpus
+from .placeholders import (DEFAULT_THRESHOLD, SP_TOKEN, build_category_map,
+                           placeholderize_corpus)
 from .training import TrainConfig, train
 from .transe import TransEConfig, TransEModel, train_transe
 
@@ -81,10 +85,10 @@ SUBCOMMANDS: dict[str, tuple[str, list[Option]]] = {
             Option("triples", str, "", "comma-separated triple TSV paths"),
             Option("questions", str, "", "comma-separated question TSV paths "
                                          "whose facts join the training set"),
-            Option("dim", int, 200, "embedding dimensionality"),
-            Option("margin", float, 1.0, "ranking margin"),
-            Option("learning-rate", float, 0.01, "SGD step size"),
-            Option("epochs", int, 100, "training epochs"),
+            Option("dim", int, TransEConfig.dim, "embedding dimensionality"),
+            Option("margin", float, TransEConfig.margin, "ranking margin"),
+            Option("learning-rate", float, TransEConfig.learning_rate, "SGD step size"),
+            Option("epochs", int, TransEConfig.epochs, "training epochs"),
             Option("out-entities", str, "", "entity embedding output path", True),
             Option("out-relations", str, "", "relationship embedding output path", True),
         ],
@@ -100,16 +104,18 @@ SUBCOMMANDS: dict[str, tuple[str, list[Option]]] = {
             Option("mode", str, "sp", "placeholder mode: sp or mp"),
             Option("names", str, "", "optional id -> display-name TSV"),
             Option("min-count", int, 1, "vocabulary frequency cutoff"),
-            Option("threshold", float, 0.5, "subject-span match threshold"),
+            Option("threshold", float, DEFAULT_THRESHOLD, "subject-span match threshold"),
             Option("word-dim", int, 200, "output word embedding size"),
             Option("hidden", int, 600, "decoder state size"),
-            Option("learning-rate", float, 0.00025, "Adam step size"),
-            Option("clip-norm", float, 0.1, "global gradient clip"),
-            Option("batch-size", int, 32, "examples per update"),
-            Option("patience", int, 5, "evaluations without improvement before stopping"),
+            Option("learning-rate", float, TrainConfig.learning_rate, "Adam step size"),
+            Option("clip-norm", float, TrainConfig.clip_norm, "global gradient clip"),
+            Option("batch-size", int, TrainConfig.batch_size, "examples per update"),
+            Option("patience", int, TrainConfig.patience,
+                   "evaluations without improvement before stopping"),
             Option("eval-every", int, 0, "updates between evaluations (0 = each epoch)"),
             Option("max-steps", int, 0, "hard update limit (0 = none)"),
-            Option("max-len", int, 30, "decode length cap during validation"),
+            Option("max-len", int, DEFAULT_MAX_LEN,
+                   "decode length cap during validation"),
             Option("out-dir", str, "", "directory for checkpoint/vocabularies/log", True),
         ],
     ),
@@ -121,8 +127,8 @@ SUBCOMMANDS: dict[str, tuple[str, list[Option]]] = {
             Option("input-vocab", str, "", "input vocabulary dump", True),
             Option("output-vocab", str, "", "output vocabulary dump", True),
             Option("names", str, "", "optional id -> display-name TSV"),
-            Option("width", int, 5, "beam width (1 = greedy)"),
-            Option("max-len", int, 30, "decode length cap"),
+            Option("width", int, DEFAULT_BEAM_WIDTH, "beam width (1 = greedy)"),
+            Option("max-len", int, DEFAULT_MAX_LEN, "decode length cap"),
             Option("output", str, "", "output TSV path", True),
         ],
     ),
@@ -141,7 +147,7 @@ SUBCOMMANDS: dict[str, tuple[str, list[Option]]] = {
             Option("train", str, "", "training question TSV", True),
             Option("facts", str, "", "triple TSV to answer", True),
             Option("names", str, "", "optional id -> display-name TSV"),
-            Option("threshold", float, 0.5, "subject-span match threshold"),
+            Option("threshold", float, DEFAULT_THRESHOLD, "subject-span match threshold"),
             Option("output", str, "", "output TSV path", True),
         ],
     ),
@@ -294,9 +300,10 @@ def _cmd_train_qgen(cfg) -> int:
         batch_size=cfg["batch_size"], patience=cfg["patience"],
         eval_every=cfg["eval_every"] or None, max_steps=cfg["max_steps"] or None,
         seed=cfg["seed"])
+    score_fn = validation_scorer(valid_pairs, input_vocab, output_vocab, cfg["max_len"])
     try:
         result = train(train_pairs, valid_pairs, params, config,
-                       input_vocab, output_vocab)
+                       input_vocab, output_vocab, score_fn)
         log_lines = result.log_lines
         best = result.best_score
         params = result.params
@@ -360,7 +367,7 @@ def _cmd_baseline(cfg) -> int:
     facts, _ = load_triples(cfg["facts"])
     written = 0
     unseen = 0
-    with open(cfg["output"], "w", encoding="utf-8") as out:
+    with replacing_writer(cfg["output"]) as out:
         for i, fact in enumerate(facts):
             try:
                 words = sample_question(fact, index, seed=cfg["seed"] + i,

@@ -7,7 +7,7 @@ File conventions:
   * triple files: 3 fields (subject, relationship, object)
   * name files: 2 fields (id, display name)
   * vocabulary dumps: 3 fields (index, token, count)
-  * category maps: 2 fields (relationship, category)
+  * category maps: 2 fields (relationship, category), written for inspection
   * vector files (embeddings, word vectors): a "<count> <dim>" header,
     then "<id> <v1> ... <vdim>" lines
 """
@@ -16,10 +16,13 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import os
 import re
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from contextlib import contextmanager
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -135,6 +138,21 @@ def question_line(fact: Fact, words: Iterable[str]) -> str:
     return f"{fact.subject}\t{fact.relationship}\t{fact.object}\t{' '.join(words)}\n"
 
 
+@contextmanager
+def replacing_writer(path) -> Iterator[TextIO]:
+    """Write to a hidden file beside `path` and rename it onto `path` when
+    the with-block exits cleanly; on an error remove it, so a failed run
+    never leaves a partial file at `path`."""
+    path = Path(path)
+    tmp_path = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp_path, "w", encoding="utf-8") as out:
+            yield out
+        os.replace(tmp_path, path)
+    finally:
+        tmp_path.unlink(missing_ok=True)
+
+
 def read_facts(path) -> Iterator[Fact]:
     """Every fact of a 3-field triple file, in file order, repeats included."""
     for _, fields in read_tsv(path, 3):
@@ -242,9 +260,6 @@ class Vocabulary:
             raise UnknownIdError(f"index {i} out of vocabulary range")
         return self._tokens[i]
 
-    def count(self, token: str) -> int:
-        return self._counts.get(token, 0)
-
     def content_hash(self) -> str:
         """sha256 over the index->token map (counts excluded)."""
         body = "\n".join(f"{i}\t{tok}" for i, tok in enumerate(self._tokens))
@@ -268,6 +283,8 @@ class Vocabulary:
                 ) from None
             if index != len(tokens):
                 raise ParseError(f"{path}:{lineno}: indices out of order")
+            if tok in counts:
+                raise ParseError(f"{path}:{lineno}: repeated token {tok!r}")
             tokens.append(tok)
             counts[tok] = n
         return cls(tokens, counts=counts)
@@ -301,57 +318,3 @@ def build_vocabularies(
                                     min_count=min_count)
     return input_vocab, output_vocab
 
-
-@dataclass
-class Dataset:
-    """The train/valid/test splits of a question corpus."""
-
-    train: list[QAPair]
-    valid: list[QAPair]
-    test: list[QAPair] = field(default_factory=list)
-
-    @classmethod
-    def from_files(cls, train_path, valid_path, test_path=None) -> "Dataset":
-        ds = cls(
-            train=load_simplequestions(train_path),
-            valid=load_simplequestions(valid_path),
-            test=load_simplequestions(test_path) if test_path else [],
-        )
-        ds.check_disjoint()
-        return ds
-
-    def check_disjoint(self) -> None:
-        """Splits must not share (fact, question) pairs."""
-        seen: dict[QAPair, str] = {}
-        for name, split in (("train", self.train), ("valid", self.valid),
-                            ("test", self.test)):
-            for pair in split:
-                other = seen.get(pair)
-                if other is not None and other != name:
-                    raise ContractError(
-                        f"splits overlap: pair in both {other} and {name}: "
-                        f"{pair.fact}"
-                    )
-                seen[pair] = name
-
-    def all_pairs(self) -> list[QAPair]:
-        return self.train + self.valid + self.test
-
-    def stats(self) -> dict[str, int]:
-        """Corpus statistics: questions, entities, relationships, words."""
-        entities: set[str] = set()
-        relationships: set[str] = set()
-        words: set[str] = set()
-        n = 0
-        for pair in self.all_pairs():
-            n += 1
-            entities.add(pair.fact.subject)
-            entities.add(pair.fact.object)
-            relationships.add(pair.fact.relationship)
-            words.update(pair.question_tokens)
-        return {
-            "questions": n,
-            "entities": len(entities),
-            "relationships": len(relationships),
-            "words": len(words),
-        }

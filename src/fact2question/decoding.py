@@ -12,16 +12,15 @@ parallelism.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from . import kernels
 from .autodiff import log_softmax_values
-from .data import BOS, QMARK, Fact, Vocabulary, question_line, read_facts
+from .data import (BOS, QMARK, Fact, Vocabulary, question_line, read_facts,
+                   replacing_writer)
 from .errors import ContractError, UnknownIdError
 from .model import QGenParams, encode_fact, init_state
 from .placeholders import restore, subject_text
@@ -79,18 +78,14 @@ class GenerationSession:
         return (enc.enc_s.value, enc.enc_r.value, enc.enc_o.value,
                 enc.enc_all.value), h0
 
-    def _step(self, enc, w_prev: int, h_prev):
-        h, logits, alpha = kernels.decode_step(
-            self._word_emb[w_prev], h_prev, *enc, *self._step_weights)
-        return h, logits, alpha
-
     def greedy_indices(self, fact: Fact) -> list[int]:
         """Argmax decode as vocabulary indices (ties pick the lowest index)."""
         enc, h = self._encode(fact)
         w_prev = self._bos
         out: list[int] = []
         for _ in range(self.max_len - 1):
-            h, logits, _ = self._step(enc, w_prev, h)
+            h, logits, _ = kernels.decode_step(
+                self._word_emb[w_prev], h, *enc, *self._step_weights)
             idx = int(np.argmax(logits))
             out.append(idx)
             if idx == self._qmark:
@@ -115,7 +110,8 @@ class GenerationSession:
                 break
             candidates: list[tuple[Hypothesis, np.ndarray]] = []
             for hyp, h, w_prev in beams:
-                h_new, logits, _ = self._step(enc, w_prev, h)
+                h_new, logits, _ = kernels.decode_step(
+                    self._word_emb[w_prev], h, *enc, *self._step_weights)
                 logp = log_softmax_values(logits)
                 for v in range(logp.shape[0]):
                     candidates.append((
@@ -145,27 +141,6 @@ class GenerationSession:
     def greedy(self, fact: Fact) -> list[str]:
         return self.to_words(self.greedy_indices(fact), fact)
 
-    def beam(self, fact: Fact, width: int = DEFAULT_BEAM_WIDTH) -> list[str]:
-        best = self.beam_indices(fact, width)[0]
-        return self.to_words(best.tokens, fact)
-
-
-def greedy_decode(fact: Fact, params: QGenParams, input_vocab: Vocabulary,
-                  output_vocab: Vocabulary,
-                  names: Mapping[str, str] | None = None,
-                  max_len: int = DEFAULT_MAX_LEN) -> list[str]:
-    """One-shot greedy decode with placeholder restoration."""
-    session = GenerationSession(params, input_vocab, output_vocab, names, max_len)
-    return session.greedy(fact)
-
-
-def beam_search(fact: Fact, params: QGenParams, input_vocab: Vocabulary,
-                output_vocab: Vocabulary, width: int = DEFAULT_BEAM_WIDTH,
-                max_len: int = DEFAULT_MAX_LEN) -> list[Hypothesis]:
-    """Ranked finished hypotheses (as indices; no restoration applied)."""
-    session = GenerationSession(params, input_vocab, output_vocab, None, max_len)
-    return session.beam_indices(fact, width)
-
 
 def generate_corpus(facts_path, session: GenerationSession, output_path,
                     width: int = DEFAULT_BEAM_WIDTH) -> tuple[int, int]:
@@ -176,24 +151,18 @@ def generate_corpus(facts_path, session: GenerationSession, output_path,
     written beside output_path and moved there only once every line has
     decoded, so a failed run never leaves a partial corpus at that path.
     """
-    output_path = Path(output_path)
-    tmp_path = output_path.with_name(f".{output_path.name}.{os.getpid()}.tmp")
     written = 0
     skipped = 0
-    try:
-        with open(tmp_path, "w", encoding="utf-8") as out:
-            for fact in read_facts(facts_path):
-                try:
-                    if width == 1:
-                        indices = session.greedy_indices(fact)
-                    else:
-                        indices = session.beam_indices(fact, width)[0].tokens
-                except UnknownIdError:
-                    skipped += 1
-                    continue
-                out.write(question_line(fact, session.to_words(indices, fact)))
-                written += 1
-        os.replace(tmp_path, output_path)
-    finally:
-        tmp_path.unlink(missing_ok=True)
+    with replacing_writer(output_path) as out:
+        for fact in read_facts(facts_path):
+            try:
+                if width == 1:
+                    indices = session.greedy_indices(fact)
+                else:
+                    indices = session.beam_indices(fact, width)[0].tokens
+            except UnknownIdError:
+                skipped += 1
+                continue
+            out.write(question_line(fact, session.to_words(indices, fact)))
+            written += 1
     return written, skipped

@@ -110,19 +110,8 @@ class QGenParams:
         return cls(input_emb=np.asarray(input_emb, dtype=np.float64),
                    tensors=tensors, d_enc=d_enc, d_dec=d_dec, hidden=hidden)
 
-    @property
-    def n_in(self) -> int:
-        return self.input_emb.shape[0]
-
-    @property
-    def n_out(self) -> int:
-        return self.tensors["word_emb"].shape[0]
-
     def trainable(self) -> dict[str, Tensor]:
         return dict(self.tensors)
-
-    def values(self) -> dict[str, np.ndarray]:
-        return {name: t.value for name, t in self.tensors.items()}
 
     def copy_values(self) -> dict[str, np.ndarray]:
         return {name: t.value.copy() for name, t in self.tensors.items()}

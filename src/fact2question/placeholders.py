@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from difflib import SequenceMatcher
 from typing import Iterable, Mapping
 
-from .data import Fact, QAPair, QMARK, read_tsv, tokenize_phrase
+from .data import Fact, QAPair, QMARK, tokenize_phrase
 from .errors import ContractError, NoSubjectSpanError
 
 SP_TOKEN = "<placeholder>"
@@ -111,10 +111,6 @@ class CategoryMap:
         with open(path, "w", encoding="utf-8") as fh:
             for rel in sorted(self.by_relationship):
                 fh.write(f"{rel}\t{self.by_relationship[rel]}\n")
-
-    @classmethod
-    def load(cls, path) -> "CategoryMap":
-        return cls({rel: category for _, (rel, category) in read_tsv(path, 2)})
 
 
 def subject_type_segment(relationship: str) -> str | None:

@@ -159,14 +159,3 @@ def train_transe(triples: Iterable[Fact], config: TransEConfig) -> TransEModel:
         log.debug("epoch %d: hinge loss %.4f", epoch + 1, loss)
 
     return TransEModel(entity_ids, relationship_ids, entities, relationships)
-
-
-def margin_ranking_loss(model: TransEModel, positives: Sequence[Fact],
-                        corrupted: Sequence[Fact], margin: float = 1.0) -> float:
-    """Sum of max(0, margin + f(positive) - f(corrupted)) over aligned pairs."""
-    if len(positives) != len(corrupted):
-        raise ContractError("positives and corrupted must be aligned")
-    total = 0.0
-    for pos, neg in zip(positives, corrupted):
-        total += max(0.0, margin + model.energy(pos) - model.energy(neg))
-    return total

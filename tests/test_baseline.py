@@ -15,7 +15,7 @@ def test_build_index_single_pair():
     index = build_template_index([_ph("fires_creek", "contained_by",
                                       "which forest is fires creek in?")])
     assert set(index.by_relationship) == {"contained_by"}
-    assert index.template_count("contained_by") == 1
+    assert len(index.by_relationship["contained_by"]) == 1
 
 
 def test_build_index_groups_by_relationship_keeping_duplicates():
@@ -26,8 +26,8 @@ def test_build_index_groups_by_relationship_keeping_duplicates():
         _ph("rome", "contained_by", "where is rome?"),
     ]
     index = build_template_index(phs)
-    assert index.template_count("contained_by") == 3
-    assert index.template_count("profession") == 1
+    assert len(index.by_relationship["contained_by"]) == 3
+    assert len(index.by_relationship["profession"]) == 1
     # "where is <placeholder> ?" appears three times: duplicates retained
     assert len(set(index.by_relationship["contained_by"])) == 1
 
@@ -36,7 +36,7 @@ def test_build_index_count_matches_surviving_pairs():
     questions = [(f"thing_{i}", "rel/type/prop", f"what is thing {i}?")
                  for i in range(25)]
     index = build_template_index([_ph(*q) for q in questions])
-    assert index.template_count("rel/type/prop") == 25
+    assert len(index.by_relationship["rel/type/prop"]) == 25
 
 
 def test_build_index_rejects_bad_templates():

@@ -1,7 +1,10 @@
 import pytest
 
 from conftest import make_toy_pairs
+from fact2question import cli, evaluation
+from fact2question.baseline import sample_question
 from fact2question.cli import run
+from fact2question.errors import ContractError
 
 
 def _write_questions(path, pairs):
@@ -186,6 +189,51 @@ def test_train_qgen_mp_mode_writes_category_map(toy_files):
                 "--seed", "0", "--out-dir", str(out_dir)]) == 0
     category_map = (out_dir / "category_map.tsv").read_text(encoding="utf-8")
     assert "location/place/found_in\tplace" in category_map
+
+
+def test_train_qgen_forwards_max_len_to_validation(toy_files, monkeypatch):
+    seen = []
+
+    class RecordingSession(evaluation.GenerationSession):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            seen.append(self.max_len)
+
+    monkeypatch.setattr(evaluation, "GenerationSession", RecordingSession)
+    d = toy_files["dir"]
+    ent, rel = d / "e3.txt", d / "r3.txt"
+    assert run(["train-transe", "--questions",
+                f"{toy_files['train']},{toy_files['valid']}",
+                "--dim", "6", "--epochs", "2", "--seed", "0",
+                "--out-entities", str(ent), "--out-relations", str(rel)]) == 0
+    assert run(["train-qgen", "--train", str(toy_files["train"]),
+                "--valid", str(toy_files["valid"]),
+                "--entity-embeddings", str(ent), "--relationship-embeddings", str(rel),
+                "--hidden", "10", "--word-dim", "6", "--max-steps", "2",
+                "--eval-every", "1", "--max-len", "5", "--seed", "0",
+                "--out-dir", str(d / "model3")]) == 0
+    assert seen and set(seen) == {5}
+
+
+def test_baseline_leaves_no_partial_output(toy_files, monkeypatch, capsys):
+    calls = []
+
+    def failing_sample(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise ContractError("sampling failed")
+        return sample_question(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "sample_question", failing_sample)
+    d = toy_files["dir"]
+    before = sorted(p.name for p in d.iterdir())
+    rc = run(["baseline", "--train", str(toy_files["train"]),
+              "--facts", str(toy_files["facts"]),
+              "--output", str(d / "baseline.tsv")])
+    assert rc == 2
+    assert "sampling failed" in capsys.readouterr().err
+    assert len(calls) == 3
+    assert sorted(p.name for p in d.iterdir()) == before
 
 
 def test_generate_rejects_mismatched_vocab(toy_files, tmp_path, capsys):

@@ -2,7 +2,6 @@ import pytest
 
 from fact2question.data import (
     BOS,
-    Dataset,
     Fact,
     QAPair,
     QMARK,
@@ -195,14 +194,16 @@ def test_vocabulary_dump_load_round_trip(tmp_path):
     reloaded = Vocabulary.load(path)
     assert reloaded.tokens() == vocab.tokens()
     assert reloaded.content_hash() == vocab.content_hash()
-    assert reloaded.count("what") == 1
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert f"{vocab.index('what')}\twhat\t1" in lines
 
 
 @pytest.mark.parametrize("line, message", [
     ("1\t<bos>\tx", "index and count must be integers"),
     ("one\t<bos>\t1", "index and count must be integers"),
     ("1\t<bos>", "expected 3 tab-separated fields, got 2"),
-], ids=["non-integer-count", "non-integer-index", "two-fields"])
+    ("1\t<unk>\t2", "repeated token '<unk>'"),
+], ids=["non-integer-count", "non-integer-index", "two-fields", "repeated-token"])
 def test_vocabulary_load_bad_line_names_file_and_line(tmp_path, line, message):
     path = tmp_path / "vocab.tsv"
     path.write_text(f"0\t<unk>\t1\n{line}\n", encoding="utf-8")
@@ -218,25 +219,15 @@ def test_vocabulary_hash_ignores_counts_but_not_order():
     assert a.content_hash() != c.content_hash()
 
 
-def test_dataset_disjoint_check():
-    shared = _pairs(("x", "rel", "y", "what is x?"))
-    with pytest.raises(ContractError, match="overlap"):
-        Dataset(train=shared, valid=list(shared)).check_disjoint()
-    ok = Dataset(train=shared, valid=_pairs(("z", "rel", "y", "what is z?")))
-    ok.check_disjoint()
-
-
 @pytest.mark.skipif("SIMPLEQUESTIONS_DIR" not in __import__("os").environ,
                     reason="real SimpleQuestions dataset not present")
 def test_real_simplequestions_question_count():
     import os
     root = os.environ["SIMPLEQUESTIONS_DIR"]
-    ds = Dataset.from_files(
-        os.path.join(root, "annotated_fb_data_train.txt"),
-        os.path.join(root, "annotated_fb_data_valid.txt"),
-        os.path.join(root, "annotated_fb_data_test.txt"),
-    )
-    assert ds.stats()["questions"] == 108442
+    total = sum(
+        len(load_simplequestions(os.path.join(root, f"annotated_fb_data_{split}.txt")))
+        for split in ("train", "valid", "test"))
+    assert total == 108442
 
 
 @pytest.mark.skipif(
@@ -257,15 +248,3 @@ def test_real_simplequestions_placeholder_vocab_under_7000():
     _, output_vocab = build_vocabularies([ph for _, ph in prepared],
                                          placeholder_tokens=[SP_TOKEN])
     assert len(output_vocab) < 7000
-
-
-def test_dataset_stats_counts():
-    ds = Dataset(
-        train=_pairs(("x", "rel", "y", "what is x?")),
-        valid=_pairs(("z", "rel2", "y", "where is z?")),
-    )
-    stats = ds.stats()
-    assert stats["questions"] == 2
-    assert stats["entities"] == 3
-    assert stats["relationships"] == 2
-    assert stats["words"] == len({"what", "is", "x", "?", "where", "z"})

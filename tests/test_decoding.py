@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from fact2question.data import BOS, Fact, Vocabulary
-from fact2question.decoding import (
-    GenerationSession,
-    beam_search,
-    generate_corpus,
-    greedy_decode,
-)
+from fact2question.decoding import GenerationSession, generate_corpus
 from fact2question.errors import ContractError, ParseError
 from fact2question.model import (
     QGenParams,
@@ -88,9 +83,8 @@ def test_greedy_decode_wrapper_restores_subject():
     # placeholder at index 0: uniform logits tie-break onto it, so the
     # decoded question is [<placeholder>, <placeholder>, ?] before restore
     tokens = ["<placeholder>", "<bos>", "?", "who"]
-    session, params, vocab = _session(tokens, zero=True, max_len=3)
-    words = greedy_decode(Fact("s1", "r0", "o0"), params, INPUT_VOCAB, vocab,
-                          max_len=3)
+    session, _, _ = _session(tokens, zero=True, max_len=3)
+    words = session.greedy(Fact("s1", "r0", "o0"))
     assert words == ["s1", "s1", "?"]  # subject id humanizes to itself
 
 
@@ -155,13 +149,13 @@ def test_two_step_beam_matches_enumeration(seed):
 
 
 def test_beam_search_wrapper_and_width_validation():
-    session, params, vocab = _session(["<unk>", "<bos>", "?", "w"], seed=1)
-    hyps = beam_search(FACT, params, INPUT_VOCAB, vocab, width=2, max_len=4)
+    session, _, vocab = _session(["<unk>", "<bos>", "?", "w"], seed=1, max_len=4)
+    hyps = session.beam_indices(FACT, width=2)
     assert 1 <= len(hyps) <= 2
     assert all(h.finished for h in hyps)
     assert all(h.tokens[-1] == vocab.index("?") for h in hyps)
     with pytest.raises(ContractError):
-        beam_search(FACT, params, INPUT_VOCAB, vocab, width=0)
+        session.beam_indices(FACT, width=0)
 
 
 def test_generation_session_rejects_bad_max_len():

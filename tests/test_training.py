@@ -119,8 +119,8 @@ def test_train_zero_lr_keeps_parameters(toy_prepared):
     config = TrainConfig(learning_rate=0.0, max_steps=3, patience=5,
                          eval_every=10, seed=0)
     result = train(prepared, prepared, params, config, input_vocab, output_vocab)
-    for name, value in result.params.values().items():
-        assert np.array_equal(value, before[name])
+    for name, tensor in result.params.tensors.items():
+        assert np.array_equal(tensor.value, before[name])
 
 
 def test_train_is_deterministic_for_fixed_seed():
@@ -130,7 +130,7 @@ def test_train_is_deterministic_for_fixed_seed():
         config = TrainConfig(max_steps=5, patience=5, eval_every=10, seed=7)
         result = train(prepared, prepared, params, config, input_vocab,
                        output_vocab)
-        return result.params.values()
+        return result.params.copy_values()
     a, b = run(), run()
     for name in a:
         assert np.array_equal(a[name], b[name])
@@ -165,8 +165,8 @@ def test_train_returns_best_checkpoint_and_log(toy_prepared):
                    output_vocab, score_fn=scripted)
     assert result.best_score == 3.0
     # the returned checkpoint is the one scored 3.0 (second evaluation)
-    for name, value in result.params.values().items():
-        assert np.array_equal(value, snapshots[1][name])
+    for name, tensor in result.params.tensors.items():
+        assert np.array_equal(tensor.value, snapshots[1][name])
     assert len(result.log_lines) == len(snapshots)
     for line in result.log_lines:
         step, nll, score, wall = line.split("\t")

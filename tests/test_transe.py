@@ -6,7 +6,6 @@ from fact2question.errors import ContractError, ParseError, UnknownIdError
 from fact2question.transe import (
     TransEConfig,
     TransEModel,
-    margin_ranking_loss,
     train_transe,
 )
 
@@ -50,15 +49,6 @@ def test_energy_translation_symmetry(seed):
     shifted = _model({"s": s + c, "o": o + c}, {"r": r})
     fact = Fact("s", "r", "o")
     assert shifted.energy(fact) == pytest.approx(base.energy(fact), abs=1e-12)
-
-
-def test_margin_ranking_loss_nonnegative_and_zero_when_separated():
-    model = _model({"s": [0.5, 0.0], "o": [0.5, 0.5], "far": [-0.9, -0.9]},
-                   {"r": [0.0, 0.5]})
-    pos = [Fact("s", "r", "o")]
-    assert margin_ranking_loss(model, pos, [Fact("s", "r", "far")], margin=1.0) == 0.0
-    loss = margin_ranking_loss(model, pos, pos, margin=1.0)
-    assert loss == pytest.approx(1.0)  # f(pos) == f(neg) leaves the margin
 
 
 def test_config_validation():
