@@ -1,6 +1,7 @@
 """Facts, question-answer pairs, vocabularies, and the TSV loaders.
 
 File conventions:
+  * every file is written through replacing_writer: whole or not at all
   * tab-separated files are UTF-8 with LF lines; blank lines are skipped,
     and read_tsv rejects a line with the wrong field count
   * question files: 4 fields (subject, relationship, object, question)
@@ -22,7 +23,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -139,14 +140,17 @@ def question_line(fact: Fact, words: Iterable[str]) -> str:
 
 
 @contextmanager
-def replacing_writer(path) -> Iterator[TextIO]:
-    """Write to a hidden file beside `path` and rename it onto `path` when
-    the with-block exits cleanly; on an error remove it, so a failed run
-    never leaves a partial file at `path`."""
+def replacing_writer(path, binary: bool = False) -> Iterator[IO]:
+    """Write UTF-8 text (bytes if `binary`) to a hidden file beside `path`
+    and rename it onto `path` when the with-block exits cleanly; on an error
+    remove it.  A failed or killed run never leaves a partial file at `path`,
+    and a file already there stays whole until then.  There is no fsync:
+    this guards against a crash of the process, not a power loss."""
     path = Path(path)
     tmp_path = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp_path, "w", encoding="utf-8") as out:
+        with open(tmp_path, "wb" if binary else "w",
+                  encoding=None if binary else "utf-8") as out:
             yield out
         os.replace(tmp_path, path)
     finally:
@@ -210,7 +214,7 @@ def read_vectors(path) -> tuple[list[str], np.ndarray]:
 
 def write_vectors(path, ids: Sequence[str], table: np.ndarray) -> None:
     """Write a vector file that read_vectors reads back exactly."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing_writer(path) as fh:
         fh.write(f"{len(ids)} {table.shape[1]}\n")
         for eid, row in zip(ids, table):
             fh.write(eid + " " + " ".join(repr(float(v)) for v in row) + "\n")
@@ -266,7 +270,7 @@ class Vocabulary:
         return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
     def dump(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with replacing_writer(path) as fh:
             for i, tok in enumerate(self._tokens):
                 fh.write(f"{i}\t{tok}\t{self._counts.get(tok, 0)}\n")
 

@@ -147,9 +147,7 @@ def generate_corpus(facts_path, session: GenerationSession, output_path,
     """Stream a triple file through the decoder into a 4-field TSV.
 
     Facts whose atoms are unknown to the encoder are skipped.  Returns
-    (written, skipped).  Output order follows input order.  The corpus is
-    written beside output_path and moved there only once every line has
-    decoded, so a failed run never leaves a partial corpus at that path.
+    (written, skipped).  Output order follows input order.
     """
     written = 0
     skipped = 0

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import read_vectors
+from .data import read_vectors, replacing_writer
 from .errors import ContractError
 from .porter import stem
 
@@ -315,7 +315,7 @@ class MetricReport:
         return lines
 
     def write_tsv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with replacing_writer(path) as fh:
             for note in REPORT_NOTES:
                 fh.write(f"# {note}\n")
             for line in self.summary_lines():

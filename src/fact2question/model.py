@@ -47,7 +47,7 @@ from .autodiff import (
     take_row,
     tanh_act,
 )
-from .data import BOS, QMARK, Fact, Vocabulary
+from .data import BOS, QMARK, Fact, Vocabulary, replacing_writer
 from .errors import ContractError, ParseError, UnknownIdError
 
 CHECKPOINT_MAGIC = b"QGENCKPT"
@@ -243,7 +243,7 @@ def sequence_log_likelihood(fact: Fact, question_tokens, params: QGenParams,
 
 def save_checkpoint(path, params: QGenParams, mode: str,
                     input_vocab: Vocabulary, output_vocab: Vocabulary) -> None:
-    with open(path, "wb") as fh:
+    with replacing_writer(path, binary=True) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         mode_b = mode.encode("utf-8")

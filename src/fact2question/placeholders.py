@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from difflib import SequenceMatcher
 from typing import Iterable, Mapping
 
-from .data import Fact, QAPair, QMARK, tokenize_phrase
+from .data import Fact, QAPair, QMARK, replacing_writer, tokenize_phrase
 from .errors import ContractError, NoSubjectSpanError
 
 SP_TOKEN = "<placeholder>"
@@ -108,7 +108,7 @@ class CategoryMap:
         return [category_token(c) for c in self.categories()]
 
     def dump(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with replacing_writer(path) as fh:
             for rel in sorted(self.by_relationship):
                 fh.write(f"{rel}\t{self.by_relationship[rel]}\n")
 

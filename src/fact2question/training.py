@@ -22,6 +22,10 @@ from .placeholders import PlaceholderizedQuestion
 
 log = logging.getLogger(__name__)
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 def clip_gradients(grads: dict[str, np.ndarray],
                    max_norm: float = 0.1) -> dict[str, np.ndarray]:
@@ -46,9 +50,6 @@ class AdamState:
     """First/second moment accumulators and the step counter."""
 
     learning_rate: float = 0.00025
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -58,20 +59,19 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
               state: AdamState) -> None:
     """Standard Adam update with bias correction, in place on the params."""
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
-    bias1 = 1.0 - b1 ** state.t
-    bias2 = 1.0 - b2 ** state.t
+    bias1 = 1.0 - ADAM_BETA1 ** state.t
+    bias2 = 1.0 - ADAM_BETA2 ** state.t
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.value.shape:
             raise ContractError(f"gradient shape mismatch for {name}")
         m = state.m.setdefault(name, np.zeros_like(p.value))
         v = state.v.setdefault(name, np.zeros_like(p.value))
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        p.value -= state.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        p.value -= state.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
 
 
 @dataclass
@@ -101,8 +101,8 @@ class TrainConfig:
     clip_norm: float = 0.1
     batch_size: int = 32
     patience: int = 5
-    eval_every: int | None = None   # updates between evaluations; None = 1 epoch
-    max_steps: int | None = None
+    eval_every: int = 0   # updates between evaluations; 0 = once per epoch
+    max_steps: int = 0    # update limit; 0 = none
     seed: int = 0
 
     def __post_init__(self):
@@ -110,6 +110,10 @@ class TrainConfig:
             raise ContractError("batch_size must be >= 1")
         if self.patience < 1:
             raise ContractError("patience must be >= 1")
+        if self.eval_every < 0:
+            raise ContractError("eval_every must be >= 0 (0 = once per epoch)")
+        if self.max_steps < 0:
+            raise ContractError("max_steps must be >= 0 (0 = no limit)")
 
 
 @dataclass
@@ -218,7 +222,7 @@ def train(
                 if stopper.should_stop():
                     stop = True
                     break
-            if config.max_steps is not None and step >= config.max_steps:
+            if config.max_steps and step >= config.max_steps:
                 stop = True
                 break
 

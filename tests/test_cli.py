@@ -191,6 +191,20 @@ def test_train_qgen_mp_mode_writes_category_map(toy_files):
     assert "location/place/found_in\tplace" in category_map
 
 
+def test_train_qgen_negative_max_steps_exits_two(toy_files, capsys):
+    d = toy_files["dir"]
+    ent, rel = d / "e4.txt", d / "r4.txt"
+    assert run(["train-transe", "--questions", str(toy_files["train"]),
+                "--dim", "6", "--epochs", "1", "--seed", "0",
+                "--out-entities", str(ent), "--out-relations", str(rel)]) == 0
+    assert run(["train-qgen", "--train", str(toy_files["train"]),
+                "--valid", str(toy_files["train"]),
+                "--entity-embeddings", str(ent), "--relationship-embeddings", str(rel),
+                "--hidden", "4", "--word-dim", "4", "--max-steps", "-1",
+                "--out-dir", str(d / "model4")]) == 2
+    assert "max_steps" in capsys.readouterr().err
+
+
 def test_train_qgen_forwards_max_len_to_validation(toy_files, monkeypatch):
     seen = []
 

@@ -110,6 +110,10 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ContractError):
         TrainConfig(patience=0)
+    with pytest.raises(ContractError, match="max_steps"):
+        TrainConfig(max_steps=-1)
+    with pytest.raises(ContractError, match="eval_every"):
+        TrainConfig(eval_every=-1)
 
 
 def test_train_zero_lr_keeps_parameters(toy_prepared):
@@ -139,7 +143,7 @@ def test_train_is_deterministic_for_fixed_seed():
 def test_train_stops_on_stuck_metric():
     prepared, input_vocab, output_vocab, params = prepare_toy(
         n_pairs=4, hidden=8, d_enc=4, d_dec=4, seed=3)
-    config = TrainConfig(max_steps=None, patience=1, eval_every=1, seed=0)
+    config = TrainConfig(max_steps=0, patience=1, eval_every=1, seed=0)
     calls = []
 
     def stuck(params):
@@ -160,7 +164,7 @@ def test_train_returns_best_checkpoint_and_log(toy_prepared):
         snapshots.append(params.copy_values())
         return next(scores)
 
-    config = TrainConfig(max_steps=None, patience=3, eval_every=1, seed=0)
+    config = TrainConfig(max_steps=0, patience=3, eval_every=1, seed=0)
     result = train(prepared, prepared, params, config, input_vocab,
                    output_vocab, score_fn=scripted)
     assert result.best_score == 3.0
