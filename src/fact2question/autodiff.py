@@ -6,6 +6,8 @@ define-by-run tape is simply reverse creation order.  Central finite
 differences (finite_diff_check) are the correctness oracle for every op.
 
 Ops run fine without an open tape: they just compute values eagerly.
+custom_op records a node whose forward and backward are written by its
+caller; the decoder loss (model.sequence_log_likelihood) is one.
 """
 
 from __future__ import annotations
@@ -263,6 +265,17 @@ def take_row(m: Tensor, i: int) -> Tensor:
     return out
 
 
+def custom_op(value, parents: Sequence[Tensor], backward: Callable) -> Tensor:
+    """A node whose forward ran outside the tape (a fused op).
+
+    value is its result; backward(g) must return one gradient per parent,
+    in order, each shaped like that parent (or None for no gradient).
+    """
+    out = Tensor(value)
+    _record(out, tuple(parents), backward)
+    return out
+
+
 def backprop(tape: Tape, loss: Tensor) -> dict[str, np.ndarray]:
     """d(loss)/d(param) for every watched parameter; unused params get zeros."""
     if loss.value.ndim != 0:
@@ -280,7 +293,7 @@ def backprop(tape: Tape, loss: Tensor) -> dict[str, np.ndarray]:
             acc = grads.get(id(parent))
             grads[id(parent)] = pg if acc is None else acc + pg
     return {
-        name: grads.get(id(p), np.zeros_like(p.value))
+        name: grads[id(p)] if id(p) in grads else np.zeros_like(p.value)
         for name, p in tape._params.items()
     }
 

@@ -60,15 +60,7 @@ class GenerationSession:
         self.max_len = max_len
         t = params.tensors
         self._word_emb = t["word_emb"].value
-        self._step_weights = tuple(
-            t[name].value for name in (
-                "att_hidden", "att_score",
-                "reset_emb", "reset_ctx", "reset_state",
-                "update_emb", "update_ctx", "update_state",
-                "cand_emb", "cand_ctx", "cand_state",
-                "out_state", "out_emb", "out_ctx", "out_proj",
-            )
-        )
+        self._step_weights = tuple(t[name].value for name in kernels.STEP_WEIGHTS)
         self._bos = output_vocab.index(BOS)
         self._qmark = output_vocab.index(QMARK)
 
@@ -84,9 +76,10 @@ class GenerationSession:
         w_prev = self._bos
         out: list[int] = []
         for _ in range(self.max_len - 1):
-            h, logits, _ = kernels.decode_step(
+            step = kernels.decode_step(
                 self._word_emb[w_prev], h, *enc, *self._step_weights)
-            idx = int(np.argmax(logits))
+            h = step.h
+            idx = int(np.argmax(step.logits))
             out.append(idx)
             if idx == self._qmark:
                 return out
@@ -110,9 +103,10 @@ class GenerationSession:
                 break
             candidates: list[tuple[Hypothesis, np.ndarray]] = []
             for hyp, h, w_prev in beams:
-                h_new, logits, _ = kernels.decode_step(
+                step = kernels.decode_step(
                     self._word_emb[w_prev], h, *enc, *self._step_weights)
-                logp = log_softmax_values(logits)
+                h_new = step.h
+                logp = log_softmax_values(step.logits)
                 for v in range(logp.shape[0]):
                     candidates.append((
                         Hypothesis(hyp.tokens + (v,), hyp.log_prob + float(logp[v]),

@@ -1,13 +1,17 @@
 """Hot numeric kernels: tape-free numpy.
 
 Two inner loops dominate runtime: the per-triple SGD epoch of embedding
-training and the per-token decoder step used when generating questions
-at corpus scale.  Both run on raw arrays without recording a tape; the
-decoder step computes the same values as model.attend, decoder_step and
-output_logits.
+training and the per-token decoder step.  Both run on raw arrays without
+recording a tape.  decode_step is the one decoder forward: generation
+reads its new state and logits, and training (model.sequence_log_likelihood)
+also keeps the activations it returns for the hand-written backward pass.
+It computes the same values as the tape ops model.attend, decoder_step and
+output_logits, which the tests keep as the gradient oracle.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,6 +21,15 @@ from .autodiff import sigmoid_values, tanh_values
 # to callers that record the run environment.
 BACKEND = "numpy"
 HAS_NUMBA = False
+
+# decode_step's weight arguments, in order, by parameter name
+STEP_WEIGHTS = (
+    "att_hidden", "att_score",
+    "reset_emb", "reset_ctx", "reset_state",
+    "update_emb", "update_ctx", "update_state",
+    "cand_emb", "cand_ctx", "cand_state",
+    "out_state", "out_emb", "out_ctx", "out_proj",
+)
 
 
 def transe_epoch(ent, rel, s_idx, r_idx, o_idx, order, corrupt_tail, neg_ent,
@@ -53,17 +66,32 @@ def transe_epoch(ent, rel, s_idx, r_idx, o_idx, order, corrupt_tail, neg_ent,
     return total
 
 
+class Step(NamedTuple):
+    """One decoder step: its outputs, then the activations a backward
+    pass reads."""
+
+    h: np.ndarray       # (H,) new state
+    logits: np.ndarray  # (V,)
+    alpha: np.ndarray   # (3,) attention scalars
+    att: np.ndarray     # (H,) attention hidden layer
+    c: np.ndarray       # (H,) context
+    g_r: np.ndarray     # (H,) reset gate
+    g_u: np.ndarray     # (H,) update gate
+    cand: np.ndarray    # (H,) candidate state
+    pre: np.ndarray     # (H,) output hidden layer, the input of out_proj
+
+
 def decode_step(e_w, h_prev, enc_s, enc_r, enc_o, enc_all,
                 att_hidden, att_score,
                 reset_emb, reset_ctx, reset_state,
                 update_emb, update_ctx, update_state,
                 cand_emb, cand_ctx, cand_state,
-                out_state, out_emb, out_ctx, out_proj):
+                out_state, out_emb, out_ctx, out_proj) -> Step:
     """One decoder step: attention, GRU update, output logits.
 
     e_w (D,) previous-word embedding; h_prev (H,); enc_* (H,) atom
-    encodings with enc_all (3H,) their concatenation.  Returns
-    (h_new (H,), logits (V,), alpha (3,)).
+    encodings with enc_all (3H,) their concatenation; the weights follow
+    STEP_WEIGHTS.
     """
     z = np.concatenate((enc_all, h_prev))
     a = tanh_values(np.dot(att_hidden, z))
@@ -79,4 +107,4 @@ def decode_step(e_w, h_prev, enc_s, enc_r, enc_o, enc_all,
     pre = tanh_values(np.dot(out_state, h_new) + np.dot(out_emb, e_w)
                       + np.dot(out_ctx, c))
     logits = np.dot(out_proj, pre)
-    return h_new, logits, alpha
+    return Step(h_new, logits, alpha, a, c, g_r, g_u, cand, pre)

@@ -7,6 +7,14 @@ update, and a softmax over the output vocabulary.  All trainable
 parameters live in QGenParams.tensors; the input embedding table is
 frozen and excluded from gradients.
 
+The training loss, sequence_log_likelihood, encodes the fact with tape
+ops and then records its whole per-token loop as one tape node: the
+forward runs kernels.decode_step, the same step that generation uses, and
+the backward is hand-written backpropagation through time (the output
+layer over all tokens at once, the recurrence one token at a time).
+attend, decoder_step and output_logits compute the step with primitive
+tape ops; they are the gradient oracle the tests check that node against.
+
 Checkpoint container (binary, little-endian), documented here because
 generate/evaluate runs reload it:
 
@@ -32,11 +40,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .autodiff import (
     Tensor,
     add,
     concat,
-    log_softmax,
+    custom_op,
+    log_softmax_values,
     matvec,
     mul,
     one_minus,
@@ -48,7 +58,7 @@ from .autodiff import (
     tanh_act,
 )
 from .data import BOS, QMARK, Fact, Vocabulary, replacing_writer
-from .errors import ContractError, ParseError, UnknownIdError
+from .errors import ContractError, DimensionError, ParseError, UnknownIdError
 
 CHECKPOINT_MAGIC = b"QGENCKPT"
 CHECKPOINT_VERSION = 1
@@ -214,7 +224,9 @@ def sequence_log_likelihood(fact: Fact, question_tokens, params: QGenParams,
     """Sum of per-token log probabilities as a 0-d tensor (always <= 0).
 
     Out-of-vocabulary tokens map to <unk>.  The first decoder input is
-    <bos>; the question must end with '?'.
+    <bos>; the question must end with '?'.  On an open tape the token loop
+    is one node whose parents are the fact encoding, h_0 and the decoder
+    weights.
     """
     tokens = list(question_tokens)
     if not tokens:
@@ -222,18 +234,117 @@ def sequence_log_likelihood(fact: Fact, question_tokens, params: QGenParams,
     if tokens[-1] != QMARK:
         raise ContractError("sequence_log_likelihood: question must end with '?'")
     targets = [output_vocab.index_or_unk(tok) for tok in tokens]
+    inputs = [output_vocab.index(BOS)] + targets[:-1]
+    t = params.tensors
+    word_emb = t["word_emb"]
+    if max(max(targets), inputs[0]) >= word_emb.shape[0]:
+        raise DimensionError(
+            f"sequence_log_likelihood: output vocabulary of {len(output_vocab)} "
+            f"tokens exceeds the {word_emb.shape[0]} rows of word_emb")
 
     enc = encode_fact(fact, params, input_vocab)
-    h = init_state(enc, params)
-    w_prev = output_vocab.index(BOS)
+    h0 = init_state(enc, params)
+    weights = [t[name] for name in kernels.STEP_WEIGHTS]
+    step_weights = {name: w.value for name, w in zip(kernels.STEP_WEIGHTS, weights)}
+    encodings = (enc.enc_s.value, enc.enc_r.value, enc.enc_o.value,
+                 enc.enc_all.value)
+    h = h0.value
+    steps = []
+    log_probs = []
     total = None
-    for target in targets:
-        c, _ = attend(enc, h, params)
-        h = decoder_step(w_prev, h, c, params)
-        logp = pick(log_softmax(output_logits(h, w_prev, c, params)), target)
-        total = logp if total is None else add(total, logp)
-        w_prev = target
-    return total
+    for w_prev, target in zip(inputs, targets):
+        step = kernels.decode_step(word_emb.value[w_prev], h, *encodings,
+                                   *step_weights.values())
+        logp = log_softmax_values(step.logits)
+        total = logp[target] if total is None else total + logp[target]
+        steps.append(step)
+        log_probs.append(logp)
+        h = step.h
+
+    def backward(g):
+        return _backprop_through_time(g, steps, log_probs, inputs, targets,
+                                      h0.value, encodings, word_emb.value,
+                                      step_weights)
+
+    return custom_op(total, (enc.enc_s, enc.enc_r, enc.enc_o, enc.enc_all, h0,
+                             word_emb, *weights), backward)
+
+
+def _backprop_through_time(g, steps, log_probs, inputs, targets, h0,
+                           encodings, word_emb, w):
+    """Gradients of g * (summed target log-probs) for sequence_log_likelihood's
+    node parents: enc_s, enc_r, enc_o, enc_all, h_0, word_emb, then the
+    STEP_WEIGHTS.  Rows of the (T, .) arrays are tokens; a gradient with
+    respect to a weight is the G^T X product of the gradients at its
+    output and its inputs over all T rows."""
+    n = len(targets)
+    hidden = h0.shape[0]
+    h_prev = np.stack([h0] + [s.h for s in steps[:-1]])
+    h_new = np.stack([s.h for s in steps])
+    emb = word_emb[inputs]
+    att, alpha, ctx, g_r, g_u, cand, pre = (
+        np.stack(col) for col in zip(*(
+            (s.att, s.alpha, s.c, s.g_r, s.g_u, s.cand, s.pre) for s in steps)))
+
+    # output layer and log-softmax, all tokens at once
+    d_logits = -np.exp(np.stack(log_probs))
+    d_logits[np.arange(n), targets] += 1.0
+    d_logits *= g
+    d_pre = (d_logits @ w["out_proj"]) * (1.0 - pre * pre)
+    d_h_out = d_pre @ w["out_state"]
+    d_c_out = d_pre @ w["out_ctx"]
+
+    # the recurrence, newest token first, on H-vectors
+    enc3 = np.stack(encodings[:3])
+    att_state = w["att_hidden"][:, 3 * hidden:]
+    d_r = np.empty_like(g_r)
+    d_u = np.empty_like(g_u)
+    d_n = np.empty_like(cand)
+    d_c = np.empty_like(ctx)
+    d_att = np.empty_like(att)
+    d_alpha = np.empty_like(alpha)
+    dh = np.zeros(hidden)
+    for k in range(n - 1, -1, -1):
+        dh = dh + d_h_out[k]
+        u, r, hp = g_u[k], g_r[k], h_prev[k]
+        d_n[k] = dn = dh * (1.0 - u) * (1.0 - cand[k] * cand[k])
+        # dh*h - dh*cand, not dh*(h - cand): the tape ops round it this
+        # way, and the two differ beyond 1e-10 where the gate saturates
+        d_u[k] = du = (dh * hp - dh * cand[k]) * u * (1.0 - u)
+        d_rh = dn @ w["cand_state"]
+        d_r[k] = dr = d_rh * hp * r * (1.0 - r)
+        d_c[k] = dc = (d_c_out[k] + dr @ w["reset_ctx"] + du @ w["update_ctx"]
+                       + dn @ w["cand_ctx"])
+        d_alpha[k] = da = (enc3 @ dc) * alpha[k] * (1.0 - alpha[k])
+        d_att[k] = dz = (da @ w["att_score"]) * (1.0 - att[k] * att[k])
+        dh = (dh * u + d_rh * r + dr @ w["reset_state"] + du @ w["update_state"]
+              + dz @ att_state)
+
+    grads = {
+        "att_hidden": d_att.T @ np.hstack((np.tile(encodings[3], (n, 1)), h_prev)),
+        "att_score": d_alpha.T @ att,
+        "reset_emb": d_r.T @ emb,
+        "reset_ctx": d_r.T @ ctx,
+        "reset_state": d_r.T @ h_prev,
+        "update_emb": d_u.T @ emb,
+        "update_ctx": d_u.T @ ctx,
+        "update_state": d_u.T @ h_prev,
+        "cand_emb": d_n.T @ emb,
+        "cand_ctx": d_n.T @ ctx,
+        "cand_state": d_n.T @ (g_r * h_prev),
+        "out_state": d_pre.T @ h_new,
+        "out_emb": d_pre.T @ emb,
+        "out_ctx": d_pre.T @ ctx,
+        "out_proj": d_logits.T @ pre,
+    }
+    d_word_emb = np.zeros(word_emb.shape)
+    np.add.at(d_word_emb, inputs,
+              d_pre @ w["out_emb"] + d_r @ w["reset_emb"] + d_u @ w["update_emb"]
+              + d_n @ w["cand_emb"])
+    d_enc = alpha.T @ d_c
+    d_enc_all = d_att.sum(axis=0) @ w["att_hidden"][:, :3 * hidden]
+    return (d_enc[0], d_enc[1], d_enc[2], d_enc_all, dh, d_word_emb,
+            *(grads[name] for name in kernels.STEP_WEIGHTS))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Decoder training: Adam on the token NLL with gradient clipping and
 early stopping with patience on the validation question-match score.
 
-Gradients are computed per example and summed in fixed example order, so
-a run is deterministic for a given seed.  The batch loss is the summed
-token NLL divided by the batch token count, i.e. mean NLL per token.
+Each example's log-likelihood is one fused tape node
+(model.sequence_log_likelihood), differentiated by one backprop() call.
+The gradients are summed over the batch in fixed example order and negated
+once, so a run is deterministic for a given seed.  The batch loss is the
+summed token NLL divided by the batch token count, i.e. mean NLL per token.
 """
 
 from __future__ import annotations
@@ -125,12 +127,11 @@ class TrainResult:
 
 
 def _example_gradients(fact, tokens, params: QGenParams, input_vocab, output_vocab):
-    """Per-example NLL and its gradients (log-likelihood negated)."""
+    """Per-example log-likelihood and its gradients."""
     with Tape() as tape:
         tape.watch(params.trainable())
         ll = sequence_log_likelihood(fact, tokens, params, input_vocab, output_vocab)
-    grads = backprop(tape, ll)
-    return -ll.item(), {name: -g for name, g in grads.items()}
+    return ll.item(), backprop(tape, ll)
 
 
 def train(
@@ -190,21 +191,23 @@ def train(
             batch = [train_pairs[i] for i in order[lo:lo + config.batch_size]]
             total_tokens = sum(len(ph.tokens) for _, ph in batch)
             summed: dict[str, np.ndarray] | None = None
-            batch_nll = 0.0
+            batch_ll = 0.0
             try:
                 for _, ph in batch:
-                    nll, grads = _example_gradients(ph.fact, list(ph.tokens),
-                                                    params, input_vocab,
-                                                    output_vocab)
-                    batch_nll += nll
+                    ll, grads = _example_gradients(ph.fact, list(ph.tokens),
+                                                   params, input_vocab,
+                                                   output_vocab)
+                    batch_ll += ll
                     if summed is None:
                         summed = grads
                     else:
                         for name in summed:
                             summed[name] += grads[name]
-                if not np.isfinite(batch_nll):
+                if not np.isfinite(batch_ll):
                     raise NumericError("non-finite training loss")
-                scaled = {name: g / total_tokens for name, g in summed.items()}
+                # the NLL's gradient: negation is exact, so negating the
+                # sum equals summing the negated gradients bit for bit
+                scaled = {name: g / -total_tokens for name, g in summed.items()}
                 adam_step(trainable, clip_gradients(scaled, config.clip_norm),
                           adam)
             except (NumericError, TrainingDivergedError) as exc:
@@ -213,7 +216,7 @@ def train(
                     f"training diverged at step {step}: {exc}",
                     checkpoint=params, log_lines=log_lines,
                 ) from exc
-            loss = batch_nll / total_tokens
+            loss = -batch_ll / total_tokens
             step += 1
             recent_nll.append(loss)
 

@@ -79,20 +79,11 @@ def _random_decode_inputs(seed, d=5, h=7, v=9):
 def test_decode_step_alpha_weighs_encodings():
     args = _random_decode_inputs(11)
     e_w, h_prev, enc_s, enc_r, enc_o, enc_all = args[:6]
-    h, logits, alpha = kernels.decode_step(*args)
-    assert np.all((alpha > 0.0) & (alpha < 1.0))
-    assert h.shape == h_prev.shape
+    step = kernels.decode_step(*args)
+    assert np.all((step.alpha > 0.0) & (step.alpha < 1.0))
+    assert step.h.shape == h_prev.shape
     # the new state is a convex mix of old state and a bounded candidate
-    assert np.max(np.abs(h)) <= max(np.max(np.abs(h_prev)), 1.0) + 1e-12
-
-
-_STEP_WEIGHTS = (
-    "att_hidden", "att_score",
-    "reset_emb", "reset_ctx", "reset_state",
-    "update_emb", "update_ctx", "update_state",
-    "cand_emb", "cand_ctx", "cand_state",
-    "out_state", "out_emb", "out_ctx", "out_proj",
-)
+    assert np.max(np.abs(step.h)) <= max(np.max(np.abs(h_prev)), 1.0) + 1e-12
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -112,16 +103,17 @@ def test_decode_step_matches_tape_forward(seed):
     h_kernel = h_tape.value
     encodings = (enc.enc_s.value, enc.enc_r.value, enc.enc_o.value,
                  enc.enc_all.value)
-    weights = tuple(t[name].value for name in _STEP_WEIGHTS)
+    weights = tuple(t[name].value for name in kernels.STEP_WEIGHTS)
     for w_prev in (1, 4, 0, 8):
         c, alpha_tape = attend(enc, h_tape, params)
         h_tape = decoder_step(w_prev, h_tape, c, params)
         logits_tape = output_logits(h_tape, w_prev, c, params)
-        h_kernel, logits, alpha = kernels.decode_step(
+        step = kernels.decode_step(
             t["word_emb"].value[w_prev], h_kernel, *encodings, *weights)
+        h_kernel = step.h
         np.testing.assert_allclose(h_kernel, h_tape.value, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(logits, logits_tape.value, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(alpha, alpha_tape.value, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(step.logits, logits_tape.value, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(step.alpha, alpha_tape.value, rtol=0, atol=1e-12)
         # continue both recurrences from the kernel's state so every step
         # is checked on the same input
         h_tape = Tensor(h_kernel)

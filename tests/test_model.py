@@ -4,9 +4,22 @@ import struct
 import numpy as np
 import pytest
 
-from fact2question.autodiff import Tape, Tensor, backprop, finite_diff_check
+from fact2question.autodiff import (
+    Tape,
+    Tensor,
+    add,
+    backprop,
+    finite_diff_check,
+    log_softmax,
+    pick,
+)
 from fact2question.data import BOS, Fact, Vocabulary
-from fact2question.errors import ContractError, ParseError, UnknownIdError
+from fact2question.errors import (
+    ContractError,
+    NumericError,
+    ParseError,
+    UnknownIdError,
+)
 from fact2question.model import (
     CHECKPOINT_MAGIC,
     QGenParams,
@@ -16,6 +29,7 @@ from fact2question.model import (
     init_state,
     load_checkpoint,
     output_distribution,
+    output_logits,
     save_checkpoint,
     sequence_log_likelihood,
 )
@@ -295,6 +309,86 @@ def test_sequence_ll_gradients_match_finite_differences():
 
     err = finite_diff_check(loss, params.trainable(), eps=1e-5)
     assert err <= 1e-4
+
+
+def tape_sequence_log_likelihood(fact, question_tokens, params, input_vocab,
+                                 output_vocab):
+    """The gradient oracle: sequence_log_likelihood written with primitive
+    tape ops, about 48 nodes per token."""
+    targets = [output_vocab.index_or_unk(tok) for tok in question_tokens]
+
+    enc = encode_fact(fact, params, input_vocab)
+    h = init_state(enc, params)
+    w_prev = output_vocab.index(BOS)
+    total = None
+    for target in targets:
+        c, _ = attend(enc, h, params)
+        h = decoder_step(w_prev, h, c, params)
+        logp = pick(log_softmax(output_logits(h, w_prev, c, params)), target)
+        total = logp if total is None else add(total, logp)
+        w_prev = target
+    return total
+
+
+# lengths 1-6, with a repeated target word and <unk> targets
+ORACLE_QUESTIONS = [
+    ["?"],
+    ["w3", "?"],
+    ["w4", "w4", "?"],
+    ["martian", "w5", "w6", "?"],
+    ["w3", "w7", "w3", "w5", "?"],
+    ["w6", "w6", "w6", "<unk>", "w4", "?"],
+]
+
+
+def _loss_and_gradients(fn, tokens, params):
+    with Tape() as tape:
+        tape.watch(params.trainable())
+        ll = fn(FACT, tokens, params, INPUT_VOCAB, OUTPUT_VOCAB)
+    return ll.item(), backprop(tape, ll), len(tape)
+
+
+@pytest.mark.parametrize("weight_scale", [1.0, 10.0])
+@pytest.mark.parametrize("seed", range(16))
+def test_fused_node_matches_tape_oracle(seed, weight_scale):
+    # weight_scale 10 drives the gates and activations into saturation
+    params = _params(seed=seed, d_dec=5)
+    rng = np.random.default_rng(seed + 50)
+    for tensor in params.tensors.values():
+        tensor.value[:] = rng.normal(scale=0.4 * weight_scale,
+                                     size=tensor.value.shape)
+    for tokens in ORACLE_QUESTIONS:
+        loss, grads, _ = _loss_and_gradients(sequence_log_likelihood, tokens,
+                                             params)
+        ref_loss, ref_grads, _ = _loss_and_gradients(
+            tape_sequence_log_likelihood, tokens, params)
+        assert abs(loss - ref_loss) <= 1e-12
+        assert set(grads) == set(ref_grads)
+        for name, ref in ref_grads.items():
+            scale = np.max(np.abs(ref))
+            assert scale > 0.0, name
+            err = np.max(np.abs(grads[name] - ref)) / scale
+            assert err <= 1e-10, (tokens, name, err)
+
+
+def test_fused_node_tape_length_does_not_grow_with_question():
+    params = _params(seed=1)
+    lengths = {_loss_and_gradients(sequence_log_likelihood, tokens, params)[2]
+               for tokens in ORACLE_QUESTIONS}
+    # the fact encoding's tape ops, then one node for the token loop
+    assert lengths == {7}
+    assert _loss_and_gradients(tape_sequence_log_likelihood,
+                               ORACLE_QUESTIONS[-1], params)[2] > 7
+
+
+def test_fused_node_nan_weights_raise_numeric_error():
+    params = _params(seed=2)
+    params.tensors["out_proj"].value[:] = np.nan
+    with Tape() as tape:
+        tape.watch(params.trainable())
+        with pytest.raises(NumericError):
+            sequence_log_likelihood(FACT, ["w3", "?"], params, INPUT_VOCAB,
+                                    OUTPUT_VOCAB)
 
 
 def test_frozen_input_table_gets_no_gradient():
