@@ -31,9 +31,9 @@ from .data import (
     load_triples,
     question_line,
     read_facts,
+    read_paired_questions,
     read_vectors,
     replacing_writer,
-    tokenize,
     unique_facts,
 )
 from .decoding import (DEFAULT_BEAM_WIDTH, DEFAULT_MAX_LEN, GenerationSession,
@@ -341,12 +341,8 @@ def _cmd_generate(cfg) -> int:
 
 
 def _cmd_evaluate(cfg) -> int:
-    def read_questions(path):
-        with open(path, encoding="utf-8") as fh:
-            return [tokenize(line) for line in fh.read().splitlines() if line.strip()]
-
-    candidates = read_questions(cfg["candidates"])
-    references = read_questions(cfg["references"])
+    candidates, references = read_paired_questions(cfg["candidates"],
+                                                   cfg["references"])
     store = WordVectorStore.load(cfg["word_vectors"]) if cfg["word_vectors"] else None
     report = evaluate_corpus(candidates, references, store)
     for line in report.summary_lines():

@@ -2,8 +2,9 @@
 
 File conventions:
   * every file is written through replacing_writer: whole or not at all
-  * tab-separated files are UTF-8 with LF lines; blank lines are skipped,
-    and read_tsv rejects a line with the wrong field count
+  * text files are UTF-8 with LF lines
+  * tab-separated files: blank lines are skipped, and read_tsv rejects a
+    line with the wrong field count
   * question files: 4 fields (subject, relationship, object, question)
   * triple files: 3 fields (subject, relationship, object)
   * name files: 2 fields (id, display name)
@@ -11,6 +12,8 @@ File conventions:
   * category maps: 2 fields (relationship, category), written for inspection
   * vector files (embeddings, word vectors): a "<count> <dim>" header,
     then "<id> <v1> ... <vdim>" lines
+  * candidate and reference question files: one question per line, paired
+    by line number (read_paired_questions)
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import re
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import zip_longest
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -98,24 +102,50 @@ class QAPair:
             )
 
 
+def read_lines(path) -> Iterator[str]:
+    """Every line of a UTF-8 text file, without its line feed."""
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            yield line.rstrip("\n")
+
+
 def read_tsv(path, n_fields: int) -> Iterator[tuple[int, list[str]]]:
     """Yield (line number, fields) for each non-blank line of a TSV file.
 
     A line without exactly n_fields fields raises ParseError naming
     file:line.
     """
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != n_fields:
-                raise ParseError(
-                    f"{path}:{lineno}: expected {n_fields} tab-separated fields, "
-                    f"got {len(fields)}"
-                )
-            yield lineno, fields
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != n_fields:
+            raise ParseError(
+                f"{path}:{lineno}: expected {n_fields} tab-separated fields, "
+                f"got {len(fields)}"
+            )
+        yield lineno, fields
+
+
+def read_paired_questions(candidates, references) -> tuple[list[list[str]],
+                                                           list[list[str]]]:
+    """Tokenized questions of two one-question-per-line files, paired by
+    line number.  A line blank in both files is skipped; a question facing
+    a blank line, or no line, in the other file raises ParseError naming
+    both file:line places."""
+    paths = (candidates, references)
+    pairs = ([], [])
+    lines = zip_longest(*(read_lines(path) for path in paths), fillvalue="")
+    for lineno, texts in enumerate(lines, start=1):
+        blank = [not text.strip() for text in texts]
+        if blank[0] != blank[1]:
+            question, other = paths if blank[1] else paths[::-1]
+            raise ParseError(f"{question}:{lineno}: question faces a blank line "
+                             f"or no line at {other}:{lineno}")
+        if not blank[0]:
+            for out, text in zip(pairs, texts):
+                out.append(tokenize(text))
+    return pairs
 
 
 def load_simplequestions(path) -> list[QAPair]:

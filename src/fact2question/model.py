@@ -29,7 +29,10 @@ generate/evaluate runs reload it:
         data  float64 * prod(extents), row-major
 
 The frozen input table is stored under the name "input_emb"; every other
-tensor is trainable.  Loading verifies the vocabulary hashes.
+tensor is trainable.  Every tensor is a finite matrix, and the names and
+shapes are exactly param_shapes' for n_in, d_enc read from input_emb,
+n_out, d_dec from word_emb and hidden from atom_proj.  Loading verifies
+the vocabulary hashes and that n_in and n_out are the vocabulary sizes.
 """
 
 from __future__ import annotations
@@ -58,46 +61,58 @@ from .autodiff import (
     tanh_act,
 )
 from .data import BOS, QMARK, Fact, Vocabulary, replacing_writer
-from .errors import ContractError, DimensionError, ParseError, UnknownIdError
+from .errors import (ContractError, DimensionError, NumericError, ParseError,
+                     UnknownIdError)
 
 CHECKPOINT_MAGIC = b"QGENCKPT"
 CHECKPOINT_VERSION = 1
 INPUT_EMB_NAME = "input_emb"
 
-_TRAINABLE_SHAPES = {
-    # name -> shape as a function of (d_enc, d_dec, hidden, n_in, n_out)
-    "atom_proj": lambda d_enc, d_dec, h, k, v: (h, d_enc),
-    "init_proj": lambda d_enc, d_dec, h, k, v: (h, 3 * h),
-    "att_hidden": lambda d_enc, d_dec, h, k, v: (h, 4 * h),
-    "att_score": lambda d_enc, d_dec, h, k, v: (3, h),
-    "word_emb": lambda d_enc, d_dec, h, k, v: (v, d_dec),
-    "reset_emb": lambda d_enc, d_dec, h, k, v: (h, d_dec),
-    "reset_ctx": lambda d_enc, d_dec, h, k, v: (h, h),
-    "reset_state": lambda d_enc, d_dec, h, k, v: (h, h),
-    "update_emb": lambda d_enc, d_dec, h, k, v: (h, d_dec),
-    "update_ctx": lambda d_enc, d_dec, h, k, v: (h, h),
-    "update_state": lambda d_enc, d_dec, h, k, v: (h, h),
-    "cand_emb": lambda d_enc, d_dec, h, k, v: (h, d_dec),
-    "cand_ctx": lambda d_enc, d_dec, h, k, v: (h, h),
-    "cand_state": lambda d_enc, d_dec, h, k, v: (h, h),
-    "out_state": lambda d_enc, d_dec, h, k, v: (h, h),
-    "out_emb": lambda d_enc, d_dec, h, k, v: (h, d_dec),
-    "out_ctx": lambda d_enc, d_dec, h, k, v: (h, h),
-    "out_proj": lambda d_enc, d_dec, h, k, v: (v, h),
-}
-
 INIT_SCALE = 0.08
+
+
+def param_shapes(n_in: int, n_out: int, d_enc: int, d_dec: int,
+                 hidden: int) -> dict[str, tuple[int, int]]:
+    """Every decoder tensor's shape: the frozen input table, then the
+    trainable tensors in the order init draws them (one GRU gate a line)."""
+    h = hidden
+    return {
+        INPUT_EMB_NAME: (n_in, d_enc),
+        "atom_proj": (h, d_enc), "init_proj": (h, 3 * h),
+        "att_hidden": (h, 4 * h), "att_score": (3, h),
+        "word_emb": (n_out, d_dec),
+        "reset_emb": (h, d_dec), "reset_ctx": (h, h), "reset_state": (h, h),
+        "update_emb": (h, d_dec), "update_ctx": (h, h), "update_state": (h, h),
+        "cand_emb": (h, d_dec), "cand_ctx": (h, h), "cand_state": (h, h),
+        "out_state": (h, h), "out_emb": (h, d_dec), "out_ctx": (h, h),
+        "out_proj": (n_out, h),
+    }
 
 
 @dataclass
 class QGenParams:
-    """All model weights plus the frozen input embedding table."""
+    """All model weights plus the frozen input embedding table.  Construction
+    checks every name and shape against param_shapes (DimensionError) for
+    the dims of input_emb, word_emb and atom_proj, and that the table is
+    finite (NumericError)."""
 
     input_emb: np.ndarray           # (n_in, d_enc), frozen
-    tensors: dict[str, Tensor]      # trainable, keyed by _TRAINABLE_SHAPES
-    d_enc: int
-    d_dec: int
-    hidden: int
+    tensors: dict[str, Tensor]      # trainable, keyed by param_shapes
+
+    def __post_init__(self):
+        shapes = {INPUT_EMB_NAME: self.input_emb.shape}
+        shapes.update((name, t.shape) for name, t in self.tensors.items())
+        for name in sorted(shapes.keys() ^ param_shapes(0, 0, 0, 0, 0).keys()):
+            raise DimensionError(
+                f"{'unknown' if name in shapes else 'missing'} tensor {name}")
+        (n_in, d_enc), (n_out, d_dec), (hidden, _) = (
+            shapes[name] for name in (INPUT_EMB_NAME, "word_emb", "atom_proj"))
+        for name, shape in param_shapes(n_in, n_out, d_enc, d_dec, hidden).items():
+            if shapes[name] != shape:
+                raise DimensionError(f"tensor {name} has shape {shapes[name]}, "
+                                     f"expected {shape}")
+        if not np.isfinite(self.input_emb).all():
+            raise NumericError(f"non-finite values in tensor {INPUT_EMB_NAME}")
 
     @classmethod
     def init(cls, n_in: int, n_out: int, d_enc: int, d_dec: int, hidden: int,
@@ -105,20 +120,14 @@ class QGenParams:
         """Fresh parameters, uniform(-0.08, 0.08); frozen table defaults to
         zeros when no pretrained rows are supplied."""
         rng = np.random.default_rng(seed)
+        shapes = param_shapes(n_in, n_out, d_enc, d_dec, hidden)
         if input_emb is None:
-            input_emb = np.zeros((n_in, d_enc))
-        if input_emb.shape != (n_in, d_enc):
-            raise ContractError(
-                f"input embedding table shape {input_emb.shape} != {(n_in, d_enc)}"
-            )
+            input_emb = np.zeros(shapes[INPUT_EMB_NAME])
         tensors = {
-            name: Tensor(rng.uniform(-INIT_SCALE, INIT_SCALE,
-                                     size=shape_fn(d_enc, d_dec, hidden, n_in, n_out)),
-                         name=name)
-            for name, shape_fn in _TRAINABLE_SHAPES.items()
+            name: Tensor(rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape), name=name)
+            for name, shape in shapes.items() if name != INPUT_EMB_NAME
         }
-        return cls(input_emb=np.asarray(input_emb, dtype=np.float64),
-                   tensors=tensors, d_enc=d_enc, d_dec=d_dec, hidden=hidden)
+        return cls(input_emb=np.asarray(input_emb, dtype=np.float64), tensors=tensors)
 
     def trainable(self) -> dict[str, Tensor]:
         return dict(self.tensors)
@@ -377,7 +386,11 @@ def save_checkpoint(path, params: QGenParams, mode: str,
 
 def load_checkpoint(path, input_vocab: Vocabulary,
                     output_vocab: Vocabulary) -> tuple[QGenParams, str]:
-    """Reload a checkpoint, verifying it was trained with these vocabularies."""
+    """Reload a checkpoint, verifying it was trained with these vocabularies.
+
+    A vocabulary hash mismatch raises ContractError; any other fault of the
+    file raises ParseError naming it.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     off = 0
@@ -390,13 +403,19 @@ def load_checkpoint(path, input_vocab: Vocabulary,
         off += n
         return chunk
 
+    def text(n, what):
+        try:
+            return take(n).decode("utf-8")
+        except UnicodeDecodeError:
+            raise ParseError(f"{path}: {what} is not UTF-8") from None
+
     if take(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
         raise ParseError(f"{path}: not a checkpoint file")
     (version,) = struct.unpack("<I", take(4))
     if version != CHECKPOINT_VERSION:
         raise ParseError(f"{path}: unsupported checkpoint version {version}")
     (mode_len,) = struct.unpack("<B", take(1))
-    mode = take(mode_len).decode("utf-8")
+    mode = text(mode_len, "mode")
     in_hash = take(32).hex()
     out_hash = take(32).hex()
     if in_hash != input_vocab.content_hash():
@@ -408,25 +427,30 @@ def load_checkpoint(path, input_vocab: Vocabulary,
     arrays: dict[str, np.ndarray] = {}
     for _ in range(n_tensors):
         (name_len,) = struct.unpack("<H", take(2))
-        name = take(name_len).decode("utf-8")
+        name = text(name_len, "a tensor name")
+        if name in arrays:
+            raise ParseError(f"{path}: tensor {name} appears twice")
         (ndim,) = struct.unpack("<B", take(1))
-        shape = tuple(struct.unpack("<I", take(4))[0] for _ in range(ndim))
+        if ndim != 2:
+            raise ParseError(f"{path}: tensor {name} has {ndim} dimensions, expected 2")
+        shape = struct.unpack("<2I", take(8))
         raw = take(8 * math.prod(shape))
         arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
     if off != len(data):
         raise ParseError(f"{path}: trailing bytes after checkpoint payload")
 
     if INPUT_EMB_NAME not in arrays:
-        raise ParseError(f"{path}: missing {INPUT_EMB_NAME} tensor")
-    input_emb = arrays.pop(INPUT_EMB_NAME)
-    missing = set(_TRAINABLE_SHAPES) - set(arrays)
-    if missing:
-        raise ParseError(f"{path}: missing tensors: {sorted(missing)}")
-    d_enc = input_emb.shape[1]
-    hidden, d_dec = arrays["reset_emb"].shape
-    params = QGenParams(
-        input_emb=input_emb,
-        tensors={name: Tensor(arr, name=name) for name, arr in arrays.items()},
-        d_enc=d_enc, d_dec=d_dec, hidden=hidden,
-    )
+        raise ParseError(f"{path}: missing tensor {INPUT_EMB_NAME}")
+    try:
+        params = QGenParams(arrays[INPUT_EMB_NAME], {
+            name: Tensor(arr, name=name) for name, arr in arrays.items()
+            if name != INPUT_EMB_NAME})
+    except (DimensionError, NumericError) as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    # out_proj has as many rows as word_emb: QGenParams checked that
+    for name, vocab in ((INPUT_EMB_NAME, input_vocab), ("word_emb", output_vocab)):
+        rows, width = arrays[name].shape
+        if rows != len(vocab):
+            raise ParseError(f"{path}: tensor {name} has shape {(rows, width)}, "
+                             f"expected {(len(vocab), width)} for the vocabulary")
     return params, mode

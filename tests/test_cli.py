@@ -1,10 +1,14 @@
+import numpy as np
 import pytest
 
 from conftest import make_toy_pairs
 from fact2question import cli, evaluation
+from fact2question.autodiff import Tensor
 from fact2question.baseline import sample_question
 from fact2question.cli import run
+from fact2question.data import Vocabulary
 from fact2question.errors import ContractError
+from fact2question.model import INPUT_EMB_NAME, QGenParams, save_checkpoint
 
 
 def _write_questions(path, pairs):
@@ -74,6 +78,20 @@ def test_evaluate_missing_file_exits_two(tmp_path, capsys):
     missing = tmp_path / "nope.txt"
     assert run(["evaluate", "--candidates", str(missing),
                 "--references", str(missing)]) == 2
+
+
+def test_evaluate_unpaired_question_exits_two(tmp_path, capsys):
+    # str.splitlines would break the candidate at U+2028 and, with the blank
+    # reference line dropped, pair every question with the wrong reference
+    cand, ref = tmp_path / "cand.txt", tmp_path / "ref.txt"
+    cand.write_text("where\u2028is c ?\nwhat ?\n", encoding="utf-8")
+    ref.write_text("where is c ?\n\nwhat ?\n", encoding="utf-8")
+    report = tmp_path / "report.tsv"
+    assert run(["evaluate", "--candidates", str(cand), "--references", str(ref),
+                "--report", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {cand}:2: question faces a blank line or no line at {ref}:2" in err
+    assert not report.exists()
 
 
 def test_neighbors_bad_embedding_header_exits_two(tmp_path, capsys):
@@ -290,3 +308,37 @@ def test_cli_outputs_are_deterministic(toy_files):
                     "--seed", "11", "--output", str(base)]) == 0
         outputs.append((ent.read_bytes(), rel.read_bytes(), base.read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("name, shape", [
+    ("out_proj", (9, 5)),
+    ("input_emb", (3, 3)),
+    ("att_score", (4, 5)),
+    ("out_proj", (7, 5)),
+    ("extra_weights", (2, 2)),
+], ids=["out_proj-extra-row", "input_emb-3-rows", "att_score-4-rows",
+        "out_proj-row-short", "unknown-tensor"])
+def test_generate_rejects_misshaped_checkpoint(tmp_path, capsys, name, shape):
+    input_vocab = Vocabulary(["<unk>", "s0", "r0", "o0"])
+    output_vocab = Vocabulary(["<unk>", "<bos>", "?", "w3", "w4", "w5", "w6", "w7"])
+    params = QGenParams.init(n_in=4, n_out=8, d_enc=3, d_dec=3, hidden=5, seed=0)
+    if name == INPUT_EMB_NAME:
+        params.input_emb = np.zeros(shape)
+    else:
+        params.tensors[name] = Tensor(np.zeros(shape), name=name)
+    paths = {key: tmp_path / f"{key}.tsv" for key in ("in", "out", "facts")}
+    checkpoint = tmp_path / "checkpoint.bin"
+    input_vocab.dump(paths["in"])
+    output_vocab.dump(paths["out"])
+    save_checkpoint(checkpoint, params, "sp", input_vocab, output_vocab)
+    paths["facts"].write_text("s0\tr0\to0\n", encoding="utf-8")
+    corpus = tmp_path / "corpus.tsv"
+    before = sorted(p.name for p in tmp_path.iterdir())
+    rc = run(["generate", "--facts", str(paths["facts"]),
+              "--checkpoint", str(checkpoint), "--input-vocab", str(paths["in"]),
+              "--output-vocab", str(paths["out"]), "--output", str(corpus)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"error: {checkpoint}: " in err and f"tensor {name}" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before

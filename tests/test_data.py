@@ -12,6 +12,7 @@ from fact2question.data import (
     load_simplequestions,
     load_triples,
     normalize_id,
+    read_paired_questions,
     tokenize,
 )
 from fact2question.errors import ContractError, ParseError, UnknownIdError
@@ -209,6 +210,30 @@ def test_vocabulary_load_bad_line_names_file_and_line(tmp_path, line, message):
     path.write_text(f"0\t<unk>\t1\n{line}\n", encoding="utf-8")
     with pytest.raises(ParseError, match=f"vocab.tsv:2: {message}"):
         Vocabulary.load(path)
+
+
+def test_read_paired_questions_pairs_by_line_number(tmp_path):
+    cand, ref = tmp_path / "cand.txt", tmp_path / "ref.txt"
+    # U+2028 and U+0085 break lines for str.splitlines, not for the reader
+    cand.write_text("where\u2028is c ?\n\nwhat\x85?\n", encoding="utf-8")
+    ref.write_text("where is c ?\n  \nwhat ?\n\n\n", encoding="utf-8")
+    assert read_paired_questions(cand, ref) == (
+        [["where", "is", "c", "?"], ["what", "?"]],
+        [["where", "is", "c", "?"], ["what", "?"]])
+
+
+@pytest.mark.parametrize("cand_text, ref_text, place", [
+    ("where is c ?\nwhat ?\n", "where is c ?\n\nwhat ?\n", "cand.txt:2"),
+    ("where is c ?\nwhat ?\n", "where is c ?\n", "cand.txt:2"),
+    ("where is c ?\n\n", "where is c ?\nwhat ?\n", "ref.txt:2"),
+], ids=["blank-reference", "missing-reference", "blank-candidate"])
+def test_read_paired_questions_rejects_unpaired_question(tmp_path, cand_text,
+                                                         ref_text, place):
+    cand, ref = tmp_path / "cand.txt", tmp_path / "ref.txt"
+    cand.write_text(cand_text, encoding="utf-8")
+    ref.write_text(ref_text, encoding="utf-8")
+    with pytest.raises(ParseError, match=f"{place}: question faces a blank line"):
+        read_paired_questions(cand, ref)
 
 
 def test_vocabulary_hash_ignores_counts_but_not_order():

@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fact2question.autodiff import (
     Tape,
@@ -16,12 +18,14 @@ from fact2question.autodiff import (
 from fact2question.data import BOS, Fact, Vocabulary
 from fact2question.errors import (
     ContractError,
+    DimensionError,
     NumericError,
     ParseError,
     UnknownIdError,
 )
 from fact2question.model import (
     CHECKPOINT_MAGIC,
+    INPUT_EMB_NAME,
     QGenParams,
     attend,
     decoder_step,
@@ -409,8 +413,6 @@ def test_checkpoint_round_trip(tmp_path):
     save_checkpoint(path, params, "sp", INPUT_VOCAB, OUTPUT_VOCAB)
     loaded, mode = load_checkpoint(path, INPUT_VOCAB, OUTPUT_VOCAB)
     assert mode == "sp"
-    assert loaded.d_enc == params.d_enc
-    assert loaded.hidden == params.hidden
     assert np.array_equal(loaded.input_emb, params.input_emb)
     for name, tensor in params.tensors.items():
         assert np.array_equal(loaded.tensors[name].value, tensor.value)
@@ -442,3 +444,107 @@ def test_checkpoint_rejects_overflowing_tensor_extents(tmp_path):
                      + struct.pack("<BII", 2, 2**32 - 1, 2**31 + 1))
     with pytest.raises(ParseError, match="truncated checkpoint"):
         load_checkpoint(path, INPUT_VOCAB, OUTPUT_VOCAB)
+
+
+@pytest.mark.parametrize("name, shape, message", [
+    ("att_score", (4, 6), r"tensor att_score has shape \(4, 6\), expected \(3, 6\)"),
+    ("out_proj", (9, 6), r"tensor out_proj has shape \(9, 6\), expected \(8, 6\)"),
+    ("atom_proj", (6, 5), r"tensor atom_proj has shape \(6, 5\), expected \(6, 4\)"),
+    ("reset_emb", (6, 5), r"tensor reset_emb has shape \(6, 5\), expected \(6, 4\)"),
+    ("extra", (1, 1), "unknown tensor extra"),
+], ids=["att_score", "out_proj", "atom_proj-width", "reset_emb-width", "extra"])
+def test_params_construction_checks_every_shape(name, shape, message):
+    params = _params()
+    params.tensors[name] = Tensor(np.zeros(shape), name=name)
+    with pytest.raises(DimensionError, match=message):
+        QGenParams(params.input_emb, params.tensors)
+
+
+def test_params_construction_rejects_missing_and_non_finite_tensors():
+    params = _params()
+    tensors = dict(params.tensors)
+    del tensors["cand_ctx"]
+    with pytest.raises(DimensionError, match="missing tensor cand_ctx"):
+        QGenParams(params.input_emb, tensors)
+    params.input_emb[1, 0] = np.inf
+    with pytest.raises(NumericError, match="tensor input_emb"):
+        QGenParams(params.input_emb, params.tensors)
+
+
+def _saved(tmp_path, params):
+    path = tmp_path / "checkpoint.bin"
+    save_checkpoint(path, params, "sp", INPUT_VOCAB, OUTPUT_VOCAB)
+    return path
+
+
+def test_checkpoint_rows_must_match_the_vocabularies(tmp_path):
+    # word_emb and out_proj agree with each other, not with the 8 output tokens
+    params = _params(seed=14, n_out=9)
+    path = _saved(tmp_path, params)
+    with pytest.raises(ParseError, match=r"checkpoint.bin: tensor word_emb has "
+                                         r"shape \(9, 4\), expected \(8, 4\)"):
+        load_checkpoint(path, INPUT_VOCAB, OUTPUT_VOCAB)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda b: b.replace(b"sp", b"\xff\xfe", 1), "mode is not UTF-8"),
+    (lambda b: b.replace(b"cand_emb", b"cand_\xe9mb", 1), "a tensor name is not UTF-8"),
+    (lambda b: b.replace(b"cand_emb", b"cand_ctx", 1), "tensor cand_ctx appears twice"),
+    (lambda b: b.replace(b"input_emb\x02", b"input_emb\xed", 1),
+     "tensor input_emb has 237 dimensions, expected 2"),
+], ids=["mode-not-utf8", "name-not-utf8", "repeated-name", "ndim-237"])
+def test_checkpoint_container_faults_are_parse_errors(tmp_path, edit, message):
+    path = _saved(tmp_path, _params(seed=15))
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(ParseError, match=f"checkpoint.bin: {message}"):
+        load_checkpoint(path, INPUT_VOCAB, OUTPUT_VOCAB)
+
+
+@pytest.mark.parametrize("name", ["input_emb", "out_proj"])
+def test_checkpoint_non_finite_values_are_parse_errors(tmp_path, name):
+    params = _params(seed=16)
+    table = params.input_emb if name == INPUT_EMB_NAME else params.tensors[name].value
+    table[1, 1] = np.nan
+    path = _saved(tmp_path, params)
+    with pytest.raises(ParseError, match=f"checkpoint.bin: non-finite values "
+                                         f"in tensor {name}"):
+        load_checkpoint(path, INPUT_VOCAB, OUTPUT_VOCAB)
+
+
+TINY_OUTPUT_VOCAB = Vocabulary(["<unk>", "<bos>", "?"])
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "checkpoint.bin"
+    params = QGenParams.init(n_in=len(INPUT_VOCAB), n_out=len(TINY_OUTPUT_VOCAB),
+                             d_enc=1, d_dec=1, hidden=1, seed=0)
+    save_checkpoint(path, params, "sp", INPUT_VOCAB, TINY_OUTPUT_VOCAB)
+    return path, path.read_bytes()
+
+
+_EDIT = st.tuples(st.integers(min_value=0),
+                  st.binary(min_size=1, max_size=4)
+                  | st.floats().map(lambda v: struct.pack("<d", v)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(cut=st.none() | st.integers(min_value=0),
+       edits=st.lists(_EDIT, max_size=3))
+def test_checkpoint_fuzz_loads_or_raises_a_named_error(tiny_checkpoint, cut, edits):
+    # a cut or overwritten checkpoint either loads or raises ParseError naming
+    # the file, or the vocabulary-hash ContractError; nothing else escapes
+    path, valid = tiny_checkpoint
+    corrupt = bytearray(valid)
+    for offset, chunk in edits:
+        offset %= len(corrupt)
+        corrupt[offset:offset + len(chunk)] = chunk
+    if cut is not None:
+        del corrupt[cut % len(corrupt):]
+    path.write_bytes(corrupt)
+    try:
+        load_checkpoint(path, INPUT_VOCAB, TINY_OUTPUT_VOCAB)
+    except ParseError as exc:
+        assert str(path) in str(exc)
+    except ContractError as exc:
+        assert "vocabulary hash mismatch" in str(exc)
