@@ -65,7 +65,8 @@ class Tensor:
     def __init__(self, value, name: str | None = None):
         arr = np.asarray(value, dtype=np.float64)
         if not np.all(np.isfinite(arr)):
-            raise NumericError(f"non-finite values in tensor{' ' + name if name else ''}")
+            raise NumericError(
+                f"non-finite values in tensor{' ' + repr(name) if name else ''}")
         self.value = arr
         self.name = name
 

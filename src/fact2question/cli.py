@@ -2,7 +2,8 @@
 
 Every subcommand takes --config FILE with flat "key = value" lines;
 explicit flags override the file, the file overrides built-in defaults,
-and unknown keys are rejected.  The effective configuration is echoed to
+and an unknown key, or a value its option's type rejects, is a usage error
+naming file:line.  The effective configuration is echoed to
 the log so any run can be reproduced.  All randomness derives from
 --seed.  Exit codes: 0 success, 1 usage error, 2 data/contract error.
 """
@@ -31,6 +32,7 @@ from .data import (
     load_triples,
     question_line,
     read_facts,
+    read_lines,
     read_paired_questions,
     read_vectors,
     replacing_writer,
@@ -184,18 +186,22 @@ def build_parser() -> _Parser:
 
 def _read_config_file(path, declared: dict[str, Option]) -> dict[str, object]:
     values: dict[str, object] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, raw = line.partition("=")
-            key = key.strip().replace("_", "-")
-            if key not in declared:
-                raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = declared[key].type(raw.strip())
+    for lineno, line in enumerate(read_lines(path), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, raw = line.partition("=")
+        key = key.strip().replace("_", "-")
+        if key not in declared:
+            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+        kind = declared[key].type
+        try:
+            values[key] = kind(raw.strip())
+        except ValueError:
+            raise UsageError(f"{path}:{lineno}: invalid {kind.__name__} value "
+                             f"for {key}: {raw.strip()!r}") from None
     return values
 
 

@@ -2,16 +2,21 @@
 
 File conventions:
   * every file is written through replacing_writer: whole or not at all
-  * text files are UTF-8 with LF lines
+  * text files are UTF-8 with LF lines, all read through read_lines: a CR
+    just before an LF (or at the end of the file) is dropped, so CRLF files
+    read as LF ones; any other CR, or a line that is not UTF-8, raises
+    ParseError naming file:line
   * tab-separated files: blank lines are skipped, and read_tsv rejects a
     line with the wrong field count
   * question files: 4 fields (subject, relationship, object, question)
   * triple files: 3 fields (subject, relationship, object)
+  * question and triple files: an id empty once normalized raises
+    ParseError naming file:line
   * name files: 2 fields (id, display name)
   * vocabulary dumps: 3 fields (index, token, count)
   * category maps: 2 fields (relationship, category), written for inspection
   * vector files (embeddings, word vectors): a "<count> <dim>" header,
-    then "<id> <v1> ... <vdim>" lines
+    then "<id> <v1> ... <vdim>" lines of finite values
   * candidate and reference question files: one question per line, paired
     by line number (read_paired_questions)
 """
@@ -103,10 +108,23 @@ class QAPair:
 
 
 def read_lines(path) -> Iterator[str]:
-    """Every line of a UTF-8 text file, without its line feed."""
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            yield line.rstrip("\n")
+    """Every line of a UTF-8 text file, without its line ending.
+
+    This is the one place a text file is opened for reading.  Only LF ends
+    a line; a CR before it, or at the end of the file, is dropped.  Any
+    other CR, or a line that is not UTF-8, raises ParseError naming
+    file:line.
+    """
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            raw = raw.removesuffix(b"\n").removesuffix(b"\r")
+            if b"\r" in raw:
+                raise ParseError(f"{path}:{lineno}: carriage return inside a line")
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ParseError(f"{path}:{lineno}: line is not UTF-8") from None
+            yield line
 
 
 def read_tsv(path, n_fields: int) -> Iterator[tuple[int, list[str]]]:
@@ -148,16 +166,24 @@ def read_paired_questions(candidates, references) -> tuple[list[list[str]],
     return pairs
 
 
+def _read_fact(path, lineno: int, fields: Sequence[str]) -> Fact:
+    """The fact of a file's id fields; an id empty once normalized raises
+    ParseError naming file:line."""
+    ids = [normalize_id(field) for field in fields]
+    if not all(ids):
+        raise ParseError(f"{path}:{lineno}: empty id")
+    return Fact(*ids)
+
+
 def load_simplequestions(path) -> list[QAPair]:
     """Parse a 4-field question file; blank questions are skipped (logged)."""
     pairs: list[QAPair] = []
     skipped = 0
-    for _, (subject, relationship, object_, question) in read_tsv(path, 4):
+    for lineno, (subject, relationship, object_, question) in read_tsv(path, 4):
         if not question.strip():
             skipped += 1
             continue
-        fact = Fact(normalize_id(subject), normalize_id(relationship),
-                    normalize_id(object_))
+        fact = _read_fact(path, lineno, (subject, relationship, object_))
         pairs.append(QAPair(fact, tuple(tokenize(question))))
     if skipped:
         log.warning("%s: skipped %d lines with empty questions", path, skipped)
@@ -189,8 +215,8 @@ def replacing_writer(path, binary: bool = False) -> Iterator[IO]:
 
 def read_facts(path) -> Iterator[Fact]:
     """Every fact of a 3-field triple file, in file order, repeats included."""
-    for _, fields in read_tsv(path, 3):
-        yield Fact(*(normalize_id(f) for f in fields))
+    for lineno, fields in read_tsv(path, 3):
+        yield _read_fact(path, lineno, fields)
 
 
 def unique_facts(facts: Iterable[Fact]) -> tuple[list[Fact], int]:
@@ -217,29 +243,35 @@ def read_vectors(path) -> tuple[list[str], np.ndarray]:
 
     Rows are collected as lines are read, so a header count far beyond
     the file's rows allocates nothing; the count is checked at the end.
+    Every value must be finite.
     """
     rows: dict[str, np.ndarray] = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2 or not all(h.isdecimal() for h in header):
-            raise ParseError(f"{path}:1: expected '<count> <dim>' header")
-        count, dim = int(header[0]), int(header[1])
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(" ")
-            if len(parts) != dim + 1:
-                raise ParseError(f"{path}:{lineno}: expected id plus {dim} values")
-            if parts[0] in rows:
-                raise ParseError(f"{path}:{lineno}: duplicate id {parts[0]!r}")
-            try:
-                rows[parts[0]] = np.array([float(v) for v in parts[1:]])
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-numeric value") from None
+    lines = read_lines(path)
+    header = next(lines, "").split()
+    if len(header) != 2 or not all(h.isdecimal() for h in header):
+        raise ParseError(f"{path}:1: expected '<count> <dim>' header")
+    count, dim = int(header[0]), int(header[1])
+    for lineno, line in enumerate(lines, start=2):
+        if not line:
+            continue
+        parts = line.split(" ")
+        if len(parts) != dim + 1:
+            raise ParseError(f"{path}:{lineno}: expected id plus {dim} values")
+        if parts[0] in rows:
+            raise ParseError(f"{path}:{lineno}: duplicate id {parts[0]!r}")
+        try:
+            row = np.array([float(v) for v in parts[1:]])
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: non-numeric value") from None
+        if not np.isfinite(row).all():
+            raise ParseError(f"{path}:{lineno}: non-finite value")
+        rows[parts[0]] = row
     if len(rows) != count:
         raise ParseError(f"{path}: header promised {count} rows, found {len(rows)}")
-    return list(rows), np.array(list(rows.values())).reshape(count, dim)
+    try:
+        return list(rows), np.array(list(rows.values())).reshape(count, dim)
+    except ValueError:  # no rows, and a header dim numpy cannot shape
+        raise ParseError(f"{path}:1: dim {dim} is too large") from None
 
 
 def write_vectors(path, ids: Sequence[str], table: np.ndarray) -> None:

@@ -104,25 +104,35 @@ class QGenParams:
         shapes.update((name, t.shape) for name, t in self.tensors.items())
         for name in sorted(shapes.keys() ^ param_shapes(0, 0, 0, 0, 0).keys()):
             raise DimensionError(
-                f"{'unknown' if name in shapes else 'missing'} tensor {name}")
+                f"{'unknown' if name in shapes else 'missing'} tensor {name!r}")
         (n_in, d_enc), (n_out, d_dec), (hidden, _) = (
             shapes[name] for name in (INPUT_EMB_NAME, "word_emb", "atom_proj"))
         for name, shape in param_shapes(n_in, n_out, d_enc, d_dec, hidden).items():
             if shapes[name] != shape:
-                raise DimensionError(f"tensor {name} has shape {shapes[name]}, "
+                raise DimensionError(f"tensor {name!r} has shape {shapes[name]}, "
                                      f"expected {shape}")
         if not np.isfinite(self.input_emb).all():
-            raise NumericError(f"non-finite values in tensor {INPUT_EMB_NAME}")
+            raise NumericError(f"non-finite values in tensor {INPUT_EMB_NAME!r}")
 
     @classmethod
     def init(cls, n_in: int, n_out: int, d_enc: int, d_dec: int, hidden: int,
              seed: int, input_emb: np.ndarray | None = None) -> "QGenParams":
         """Fresh parameters, uniform(-0.08, 0.08); frozen table defaults to
-        zeros when no pretrained rows are supplied."""
+        zeros when no pretrained rows are supplied.  Every dimension must be
+        >= 1 (ContractError), and a supplied table must be (n_in, d_enc)
+        (DimensionError)."""
+        dims = dict(n_in=n_in, n_out=n_out, d_enc=d_enc, d_dec=d_dec, hidden=hidden)
+        for dim_name, value in dims.items():
+            if value < 1:
+                raise ContractError(f"{dim_name} must be >= 1, got {value}")
         rng = np.random.default_rng(seed)
         shapes = param_shapes(n_in, n_out, d_enc, d_dec, hidden)
         if input_emb is None:
             input_emb = np.zeros(shapes[INPUT_EMB_NAME])
+        elif np.shape(input_emb) != shapes[INPUT_EMB_NAME]:
+            raise DimensionError(f"tensor {INPUT_EMB_NAME!r} has shape "
+                                 f"{np.shape(input_emb)}, expected "
+                                 f"{shapes[INPUT_EMB_NAME]}")
         tensors = {
             name: Tensor(rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape), name=name)
             for name, shape in shapes.items() if name != INPUT_EMB_NAME
@@ -429,10 +439,11 @@ def load_checkpoint(path, input_vocab: Vocabulary,
         (name_len,) = struct.unpack("<H", take(2))
         name = text(name_len, "a tensor name")
         if name in arrays:
-            raise ParseError(f"{path}: tensor {name} appears twice")
+            raise ParseError(f"{path}: tensor {name!r} appears twice")
         (ndim,) = struct.unpack("<B", take(1))
         if ndim != 2:
-            raise ParseError(f"{path}: tensor {name} has {ndim} dimensions, expected 2")
+            raise ParseError(f"{path}: tensor {name!r} has {ndim} dimensions, "
+                             f"expected 2")
         shape = struct.unpack("<2I", take(8))
         raw = take(8 * math.prod(shape))
         arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
@@ -440,7 +451,7 @@ def load_checkpoint(path, input_vocab: Vocabulary,
         raise ParseError(f"{path}: trailing bytes after checkpoint payload")
 
     if INPUT_EMB_NAME not in arrays:
-        raise ParseError(f"{path}: missing tensor {INPUT_EMB_NAME}")
+        raise ParseError(f"{path}: missing tensor {INPUT_EMB_NAME!r}")
     try:
         params = QGenParams(arrays[INPUT_EMB_NAME], {
             name: Tensor(arr, name=name) for name, arr in arrays.items()
@@ -451,6 +462,6 @@ def load_checkpoint(path, input_vocab: Vocabulary,
     for name, vocab in ((INPUT_EMB_NAME, input_vocab), ("word_emb", output_vocab)):
         rows, width = arrays[name].shape
         if rows != len(vocab):
-            raise ParseError(f"{path}: tensor {name} has shape {(rows, width)}, "
+            raise ParseError(f"{path}: tensor {name!r} has shape {(rows, width)}, "
                              f"expected {(len(vocab), width)} for the vocabulary")
     return params, mode

@@ -108,6 +108,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not self.learning_rate >= 0:
+            raise ContractError(f"learning rate must be >= 0, got {self.learning_rate}")
+        if not self.clip_norm > 0:
+            raise ContractError(f"clip norm must be positive, got {self.clip_norm}")
         if self.batch_size < 1:
             raise ContractError("batch_size must be >= 1")
         if self.patience < 1:

@@ -1,5 +1,7 @@
 """Every artefact reaches its path through data.replacing_writer: a writer
-that fails part-way leaves the file already at the path untouched."""
+that fails part-way leaves the file already at the path untouched.  Every
+input file is read through data.read_lines, and the checkpoint through
+model.load_checkpoint: no other code in src/ opens a file."""
 
 import ast
 from pathlib import Path
@@ -54,6 +56,50 @@ def test_guard_sees_a_writing_open():
     tree = ast.parse("def f(p):\n    open(p, 'a')\n    open(p, mode=m)\n"
                      "    open(p)\n    open(p, 'rb')\n")
     assert _writing_opens(tree, True) == [2, 3]
+
+
+FILE_OPENERS = [("data.py", "read_lines"), ("data.py", "replacing_writer"),
+                ("model.py", "load_checkpoint")]
+
+
+def _file_opens(tree: ast.AST) -> list[tuple[str, int]]:
+    """(enclosing function, line) of every call to open() or to an .open(),
+    .read_text() or .read_bytes() method.  A function is named with its
+    class and outer functions ("Vocabulary.load", "f.inner"); module level
+    is ""."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Name) and node.func.id == "open"
+                or isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("open", "read_text", "read_bytes")):
+            found.append((scope, node.lineno))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_only_the_three_file_openers_open_files():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [(path.name, scope) for scope, _ in _file_opens(tree)]
+    assert sorted(found) == FILE_OPENERS
+
+
+def test_read_guard_sees_an_open_elsewhere():
+    tree = ast.parse("def read_lines(p):\n    open(p, 'rb')\n"
+                     "class C:\n    def load(self, p):\n        return open(p)\n"
+                     "def f(p):\n    def g():\n        p.read_text()\n"
+                     "    io.open(p)\n"
+                     "open('x')\n")
+    assert _file_opens(tree) == [("read_lines", 2), ("C.load", 5), ("f.g", 8),
+                                 ("f", 9), ("", 10)]
 
 
 class Exploding(str):

@@ -129,6 +129,65 @@ def test_config_file_unknown_key_exits_one(tmp_path, capsys):
     assert "frobnication" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, message", [
+    ("epochs = abc", "invalid int value for epochs: 'abc'"),
+    ("margin = 1.0.0", "invalid float value for margin: '1.0.0'"),
+    ("seed =", "invalid int value for seed: ''"),
+], ids=["int", "float", "empty"])
+def test_config_file_bad_value_exits_one(tmp_path, capsys, line, message):
+    config = tmp_path / "run.conf"
+    config.write_text(f"dim = 4\n{line}\n", encoding="utf-8")
+    assert run(["train-transe", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{config}:2: {message}\n")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"candidates = x\rreferences = y\n", "1: carriage return inside a line"),
+    (b"# caf\xe9\n", "1: line is not UTF-8"),
+], ids=["lone-cr", "latin-1"])
+def test_config_file_line_faults_exit_two(tmp_path, capsys, data, message):
+    config = tmp_path / "run.conf"
+    config.write_bytes(data)
+    assert run(["evaluate", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: {config}:{message}\n"
+
+
+@pytest.mark.parametrize("cand, ref, place", [
+    (b"where is c ?\r\nwho ?\n", b"where is c ?\nwho ?\r\n", None),
+    (b"where is c ?\nwho\r?\n", b"where is c ?\nwho ?\n",
+     "cand.txt:2: carriage return inside a line"),
+    (b"where is c ?\nwho ?\n", b"where is c ?\n\xffwho ?\n",
+     "ref.txt:2: line is not UTF-8"),
+], ids=["crlf", "lone-cr", "non-utf8"])
+def test_evaluate_line_rule(tmp_path, capsys, cand, ref, place):
+    paths = tmp_path / "cand.txt", tmp_path / "ref.txt"
+    for path, data in zip(paths, (cand, ref)):
+        path.write_bytes(data)
+    rc = run(["evaluate", "--candidates", str(paths[0]), "--references", str(paths[1])])
+    captured = capsys.readouterr()
+    if place is None:
+        assert rc == 0 and "bleu\t100.0000" in captured.out
+    else:
+        assert rc == 2 and captured.err == f"error: {tmp_path}/{place}\n"
+
+
+def test_data_faults_exit_two_naming_the_line(tmp_path, capsys):
+    triples, vectors = tmp_path / "t.tsv", tmp_path / "vectors.txt"
+    triples.write_text("a\tr\tb\nwww.freebase.com/\tr\tb\n", encoding="utf-8")
+    assert run(["train-transe", "--triples", str(triples), "--out-entities",
+                str(tmp_path / "e.txt"), "--out-relations", str(tmp_path / "r.txt")]) == 2
+    assert capsys.readouterr().err == f"error: {triples}:2: empty id\n"
+    # a NaN coordinate would make min(1.0, nan) score the pair 100
+    questions = tmp_path / "q.txt"
+    questions.write_text("foo ?\n", encoding="utf-8")
+    vectors.write_text("3 2\nbar 0.5 1.0\nfoo nan 1.0\n? 1.0 0.0\n", encoding="utf-8")
+    assert run(["evaluate", "--candidates", str(questions), "--references",
+                str(questions), "--word-vectors", str(vectors)]) == 2
+    assert capsys.readouterr().err == f"error: {vectors}:3: non-finite value\n"
+
+
 def test_effective_config_is_echoed(tmp_path, capsys, caplog):
     f = tmp_path / "qs.txt"
     f.write_text("who made neo contra?\n", encoding="utf-8")
@@ -221,6 +280,28 @@ def test_train_qgen_negative_max_steps_exits_two(toy_files, capsys):
                 "--hidden", "4", "--word-dim", "4", "--max-steps", "-1",
                 "--out-dir", str(d / "model4")]) == 2
     assert "max_steps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--learning-rate", "-1", "learning rate must be >= 0, got -1.0"),
+    ("--clip-norm", "0", "clip norm must be positive, got 0.0"),
+    ("--hidden", "0", "hidden must be >= 1, got 0"),
+    ("--word-dim", "-1", "d_dec must be >= 1, got -1"),
+], ids=["learning-rate", "clip-norm", "hidden", "word-dim"])
+def test_train_qgen_bad_settings_exit_two(toy_files, capsys, flag, value, message):
+    d = toy_files["dir"]
+    ent, rel = d / "e5.txt", d / "r5.txt"
+    assert run(["train-transe", "--questions", str(toy_files["train"]),
+                "--dim", "4", "--epochs", "1", "--seed", "0",
+                "--out-entities", str(ent), "--out-relations", str(rel)]) == 0
+    out_dir = d / "model5"
+    assert run(["train-qgen", "--train", str(toy_files["train"]),
+                "--valid", str(toy_files["train"]),
+                "--entity-embeddings", str(ent), "--relationship-embeddings", str(rel),
+                "--hidden", "4", "--word-dim", "4", flag, value,
+                "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (out_dir / "checkpoint.bin").exists()
 
 
 def test_train_qgen_forwards_max_len_to_validation(toy_files, monkeypatch):
@@ -339,6 +420,6 @@ def test_generate_rejects_misshaped_checkpoint(tmp_path, capsys, name, shape):
               "--output-vocab", str(paths["out"]), "--output", str(corpus)])
     err = capsys.readouterr().err
     assert rc == 2
-    assert f"error: {checkpoint}: " in err and f"tensor {name}" in err
+    assert f"error: {checkpoint}: " in err and f"tensor {name!r}" in err
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == before

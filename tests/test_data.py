@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fact2question import cli
 from fact2question.data import (
     BOS,
     Fact,
@@ -12,7 +15,11 @@ from fact2question.data import (
     load_simplequestions,
     load_triples,
     normalize_id,
+    read_facts,
+    read_lines,
     read_paired_questions,
+    read_tsv,
+    read_vectors,
     tokenize,
 )
 from fact2question.errors import ContractError, ParseError, UnknownIdError
@@ -139,6 +146,89 @@ def test_load_names(tmp_path):
     path = tmp_path / "names.tsv"
     path.write_text("m.abc\tFires Creek\n", encoding="utf-8")
     assert load_names(path) == {"m.abc": "Fires Creek"}
+
+
+def test_read_lines_reads_crlf_as_lf(tmp_path):
+    lf, crlf = tmp_path / "lf.tsv", tmp_path / "crlf.tsv"
+    lf.write_bytes(b"a\tb\tc\n\nd\te\tf\xc3\xa9\n")
+    crlf.write_bytes(b"a\tb\tc\r\n\r\nd\te\tf\xc3\xa9\r")  # a CR ends the file
+    assert list(read_lines(lf)) == list(read_lines(crlf)) == [
+        "a\tb\tc", "", "d\te\tf\u00e9"]
+    assert list(read_tsv(crlf, 3)) == [(1, ["a", "b", "c"]), (3, ["d", "e", "f\u00e9"])]
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"a\tb\tc\n1\t2\t3\rd\te\tf\n", "2: carriage return inside a line"),
+    (b"a\tb\tc\r\r\n", "1: carriage return inside a line"),
+    (b"a\tb\tc\n\nd\te\t\xff\n", "3: line is not UTF-8"),
+    (b"a\tb\t\xc3\r\n", "1: line is not UTF-8"),
+], ids=["lone-cr", "cr-cr-lf", "invalid-byte", "cut-sequence"])
+def test_read_lines_rejects_lone_cr_and_non_utf8(tmp_path, data, message):
+    path = tmp_path / "t.tsv"
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match=f"^{path}:{message}$"):
+        list(read_facts(path))
+
+
+@pytest.mark.parametrize("line", [
+    "www.freebase.com/\tr\to\twhat is it?",
+    "s\t \to\twhat is s?",
+    "s\tr\t/\twhat is s?",
+], ids=["bare-prefix", "blank-relationship", "bare-slash"])
+def test_empty_ids_are_parse_errors_naming_the_line(tmp_path, line):
+    questions, triples = tmp_path / "q.txt", tmp_path / "t.tsv"
+    questions.write_text(f"a\tr\tb\twhat is a?\n{line}\n", encoding="utf-8")
+    triples.write_text("a\tr\tb\n" + line.rsplit("\t", 1)[0] + "\n",
+                       encoding="utf-8")
+    with pytest.raises(ParseError, match=f"^{questions}:2: empty id$"):
+        load_simplequestions(questions)
+    with pytest.raises(ParseError, match=f"^{triples}:2: empty id$"):
+        list(read_facts(triples))
+
+
+def _config(path):
+    declared = {opt.key: opt for opt in cli.SUBCOMMANDS["train-qgen"][1] + cli.COMMON}
+    return cli._read_config_file(path, declared)
+
+
+TEXT_READERS = {
+    "load_simplequestions": load_simplequestions,
+    "read_facts": lambda path: list(read_facts(path)),
+    "load_names": load_names,
+    "Vocabulary.load": Vocabulary.load,
+    "read_vectors": read_vectors,
+    "read_paired_questions": lambda path: read_paired_questions(
+        path, path.with_name("other.txt")),
+    "config": _config,
+}
+
+# pieces of the files above, line breaks and bytes that are not UTF-8
+_PIECES = [b"\t", b"\n", b"\r", b"\r\n", b" ", b"=", b"#", b"0", b"1", b"2",
+           b"-1.5", b"nan", b"1e999", b"x", b"?", b"m/ab", b"www.freebase.com/",
+           b"1 2\n", b"0 99999999999999999999\n", b"\nhidden = ", b"\nlearning_rate=",
+           b"\xff", b"\xc3", b"\xc3\xa9", b"\xe2\x80\xa8"]
+_FUZZ_BYTES = (st.binary(max_size=64)
+               | st.lists(st.sampled_from(_PIECES), max_size=40).map(b"".join))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("readers")
+
+
+@pytest.mark.parametrize("reader", TEXT_READERS)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=_FUZZ_BYTES, other=_FUZZ_BYTES)
+def test_text_reader_fuzz_returns_or_names_the_file(fuzz_dir, reader, data, other):
+    # whatever the bytes, a reader returns or raises ParseError or UsageError
+    # starting with the path of the file at fault; nothing else escapes
+    path, other_path = fuzz_dir / "input.txt", fuzz_dir / "other.txt"
+    path.write_bytes(data)
+    other_path.write_bytes(other)
+    try:
+        TEXT_READERS[reader](path)
+    except (ParseError, cli.UsageError) as exc:
+        assert str(exc).startswith((f"{path}:", f"{other_path}:"))
 
 
 def _pairs(*rows):

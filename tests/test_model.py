@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 
 import numpy as np
@@ -447,11 +448,11 @@ def test_checkpoint_rejects_overflowing_tensor_extents(tmp_path):
 
 
 @pytest.mark.parametrize("name, shape, message", [
-    ("att_score", (4, 6), r"tensor att_score has shape \(4, 6\), expected \(3, 6\)"),
-    ("out_proj", (9, 6), r"tensor out_proj has shape \(9, 6\), expected \(8, 6\)"),
-    ("atom_proj", (6, 5), r"tensor atom_proj has shape \(6, 5\), expected \(6, 4\)"),
-    ("reset_emb", (6, 5), r"tensor reset_emb has shape \(6, 5\), expected \(6, 4\)"),
-    ("extra", (1, 1), "unknown tensor extra"),
+    ("att_score", (4, 6), r"tensor 'att_score' has shape \(4, 6\), expected \(3, 6\)"),
+    ("out_proj", (9, 6), r"tensor 'out_proj' has shape \(9, 6\), expected \(8, 6\)"),
+    ("atom_proj", (6, 5), r"tensor 'atom_proj' has shape \(6, 5\), expected \(6, 4\)"),
+    ("reset_emb", (6, 5), r"tensor 'reset_emb' has shape \(6, 5\), expected \(6, 4\)"),
+    ("extra", (1, 1), "unknown tensor 'extra'"),
 ], ids=["att_score", "out_proj", "atom_proj-width", "reset_emb-width", "extra"])
 def test_params_construction_checks_every_shape(name, shape, message):
     params = _params()
@@ -464,11 +465,42 @@ def test_params_construction_rejects_missing_and_non_finite_tensors():
     params = _params()
     tensors = dict(params.tensors)
     del tensors["cand_ctx"]
-    with pytest.raises(DimensionError, match="missing tensor cand_ctx"):
+    with pytest.raises(DimensionError, match="missing tensor 'cand_ctx'"):
         QGenParams(params.input_emb, tensors)
     params.input_emb[1, 0] = np.inf
-    with pytest.raises(NumericError, match="tensor input_emb"):
+    with pytest.raises(NumericError, match="tensor 'input_emb'"):
         QGenParams(params.input_emb, params.tensors)
+
+
+@pytest.mark.parametrize("dim", ["n_in", "n_out", "d_enc", "d_dec", "hidden"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_params_init_rejects_dimensions_below_one(dim, value):
+    dims = dict(n_in=4, n_out=5, d_enc=2, d_dec=2, hidden=2)
+    with pytest.raises(ContractError, match=f"^{dim} must be >= 1, got {value}$"):
+        QGenParams.init(**{**dims, dim: value}, seed=0)
+
+
+@pytest.mark.parametrize("shape", [(9, 2), (4, 3), (4,)])
+def test_params_init_checks_a_supplied_input_table(shape):
+    message = f"tensor 'input_emb' has shape {shape}, expected (4, 2)"
+    with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+        QGenParams.init(n_in=4, n_out=5, d_enc=2, d_dec=2, hidden=2, seed=0,
+                        input_emb=np.zeros(shape))
+
+
+def test_tensor_name_with_a_line_break_stays_on_one_line(tmp_path):
+    params = _params()
+    tensors = {**params.tensors, "out\nproj": Tensor(np.zeros((1, 1)))}
+    with pytest.raises(DimensionError, match=r"^unknown tensor 'out\\nproj'$"):
+        QGenParams(params.input_emb, tensors)
+    path = _saved(tmp_path, params)
+    path.write_bytes(path.read_bytes().replace(b"cand_emb", b"cand\nemb", 1))
+    with pytest.raises(ParseError, match=r"checkpoint.bin: unknown tensor "
+                                         r"'cand\\nemb'$"):
+        load_checkpoint(path, INPUT_VOCAB, OUTPUT_VOCAB)
+    with pytest.raises(NumericError, match=r"^non-finite values in tensor "
+                                           r"'a\\tb'$"):
+        Tensor(np.full((1, 1), np.nan), name="a\tb")
 
 
 def _saved(tmp_path, params):
@@ -481,7 +513,7 @@ def test_checkpoint_rows_must_match_the_vocabularies(tmp_path):
     # word_emb and out_proj agree with each other, not with the 8 output tokens
     params = _params(seed=14, n_out=9)
     path = _saved(tmp_path, params)
-    with pytest.raises(ParseError, match=r"checkpoint.bin: tensor word_emb has "
+    with pytest.raises(ParseError, match=r"checkpoint.bin: tensor 'word_emb' has "
                                          r"shape \(9, 4\), expected \(8, 4\)"):
         load_checkpoint(path, INPUT_VOCAB, OUTPUT_VOCAB)
 
@@ -489,9 +521,9 @@ def test_checkpoint_rows_must_match_the_vocabularies(tmp_path):
 @pytest.mark.parametrize("edit, message", [
     (lambda b: b.replace(b"sp", b"\xff\xfe", 1), "mode is not UTF-8"),
     (lambda b: b.replace(b"cand_emb", b"cand_\xe9mb", 1), "a tensor name is not UTF-8"),
-    (lambda b: b.replace(b"cand_emb", b"cand_ctx", 1), "tensor cand_ctx appears twice"),
+    (lambda b: b.replace(b"cand_emb", b"cand_ctx", 1), "tensor 'cand_ctx' appears twice"),
     (lambda b: b.replace(b"input_emb\x02", b"input_emb\xed", 1),
-     "tensor input_emb has 237 dimensions, expected 2"),
+     "tensor 'input_emb' has 237 dimensions, expected 2"),
 ], ids=["mode-not-utf8", "name-not-utf8", "repeated-name", "ndim-237"])
 def test_checkpoint_container_faults_are_parse_errors(tmp_path, edit, message):
     path = _saved(tmp_path, _params(seed=15))
@@ -507,7 +539,7 @@ def test_checkpoint_non_finite_values_are_parse_errors(tmp_path, name):
     table[1, 1] = np.nan
     path = _saved(tmp_path, params)
     with pytest.raises(ParseError, match=f"checkpoint.bin: non-finite values "
-                                         f"in tensor {name}"):
+                                         f"in tensor {name!r}"):
         load_checkpoint(path, INPUT_VOCAB, OUTPUT_VOCAB)
 
 

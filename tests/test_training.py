@@ -116,6 +116,19 @@ def test_train_config_validation():
         TrainConfig(eval_every=-1)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("learning_rate", -1.0, "learning rate must be >= 0, got -1.0"),
+    ("learning_rate", float("nan"), "learning rate must be >= 0, got nan"),
+    ("clip_norm", 0.0, "clip norm must be positive, got 0.0"),
+    ("clip_norm", -0.1, "clip norm must be positive, got -0.1"),
+    ("clip_norm", float("nan"), "clip norm must be positive, got nan"),
+])
+def test_train_config_rejects_bad_step_settings(field, value, message):
+    with pytest.raises(ContractError, match=f"^{message}$"):
+        TrainConfig(**{field: value})
+    TrainConfig(learning_rate=0.0, clip_norm=1e-9)  # the boundaries are allowed
+
+
 def test_train_zero_lr_keeps_parameters(toy_prepared):
     prepared, input_vocab, output_vocab, params = prepare_toy(
         n_pairs=4, hidden=8, d_enc=4, d_dec=4, seed=1)

@@ -169,7 +169,10 @@ def test_embedding_file_header_mismatch(tmp_path):
 @pytest.mark.parametrize("text, where", [
     ("100000000000 200\nx 1.0\n", "bad.txt:2"),  # the header count allocates nothing
     ("2 1\nx 1.0\nx 2.0\n", "bad.txt:3: duplicate id 'x'"),
-], ids=["huge-header", "duplicate-id"])
+    ("2 1\nx 1.0\ny nan\n", "bad.txt:3: non-finite value"),
+    ("1 2\nx -Infinity 1e999\n", "bad.txt:2: non-finite value"),
+    ("0 99999999999999999999\n", "bad.txt:1: dim 99999999999999999999 is too large"),
+], ids=["huge-header", "duplicate-id", "nan", "inf", "unshapeable-dim"])
 def test_embedding_file_bad_rows_name_the_line(tmp_path, text, where):
     path = tmp_path / "bad.txt"
     path.write_text(text, encoding="utf-8")
