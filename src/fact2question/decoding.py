@@ -1,7 +1,7 @@
 """Question decoding: greedy, beam search, and streaming corpus generation.
 
-A fact is encoded once with model.encode_fact and model.init_state; each
-token then runs tape-free through the numpy kernel kernels.decode_step.
+A fact is encoded once with model.encode, the encoder training uses too;
+each token then runs through the numpy kernel kernels.decode_step.
 An output sequence is at most max_len tokens ending in '?': up to
 max_len - 1 tokens are chosen by the model, and a hypothesis that never
 emits '?' gets one appended (unscored).  Scores are length-unnormalized
@@ -22,7 +22,7 @@ from .autodiff import log_softmax_values
 from .data import (BOS, QMARK, Fact, Vocabulary, question_line, read_facts,
                    replacing_writer)
 from .errors import ContractError, UnknownIdError
-from .model import QGenParams, encode_fact, init_state
+from .model import QGenParams, encode
 from .placeholders import restore, subject_text
 
 DEFAULT_MAX_LEN = 30
@@ -65,10 +65,7 @@ class GenerationSession:
         self._qmark = output_vocab.index(QMARK)
 
     def _encode(self, fact: Fact):
-        enc = encode_fact(fact, self.params, self.input_vocab)
-        h0 = init_state(enc, self.params).value
-        return (enc.enc_s.value, enc.enc_r.value, enc.enc_o.value,
-                enc.enc_all.value), h0
+        return encode(fact, self.params, self.input_vocab)
 
     def greedy_indices(self, fact: Fact) -> list[int]:
         """Argmax decode as vocabulary indices (ties pick the lowest index)."""

@@ -1,12 +1,11 @@
-"""Hot numeric kernels: tape-free numpy.
+"""Hot numeric kernels in numpy.
 
 Two inner loops dominate runtime: the per-triple SGD epoch of embedding
-training and the per-token decoder step.  Both run on raw arrays without
-recording a tape.  decode_step is the one decoder forward: generation
-reads its new state and logits, and training (model.sequence_log_likelihood)
-also keeps the activations it returns for the hand-written backward pass.
-It computes the same values as the tape ops model.attend, decoder_step and
-output_logits, which the tests keep as the gradient oracle.
+training and the per-token decoder step.  Both run on raw arrays.
+decode_step is the one decoder forward: generation reads its new state
+and logits, and training (model.sequence_log_likelihood) also keeps the
+activations it returns for the hand-written backward pass.  The tests
+check it against a decoder step built from primitive tape ops.
 """
 
 from __future__ import annotations

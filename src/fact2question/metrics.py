@@ -9,6 +9,7 @@ zero n-gram counts at corpus level so tiny corpora never hit log(0).
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -124,8 +125,9 @@ def _align(cand: Sequence[str], ref: Sequence[str]) -> list[tuple[int, int]]:
     """Two-stage unigram alignment (exact then stem), maximal in match
     count; among maximal alignments the chunk count is minimized, by
     exhaustive search up to a node budget and leftmost-in-order pairing
-    beyond it."""
-    stages = (lambda t: t, stem)
+    beyond it.  Each word is stemmed once per call: the search revisits
+    the same free tokens at every node."""
+    stages = (lambda t: t, functools.cache(stem))
     best: list[tuple[int, int] | None] = [None]
     best_chunks = [len(cand) + len(ref) + 1]
     budget = [_ALIGN_BUDGET]

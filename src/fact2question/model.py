@@ -7,13 +7,13 @@ update, and a softmax over the output vocabulary.  All trainable
 parameters live in QGenParams.tensors; the input embedding table is
 frozen and excluded from gradients.
 
-The training loss, sequence_log_likelihood, encodes the fact with tape
-ops and then records its whole per-token loop as one tape node: the
-forward runs kernels.decode_step, the same step that generation uses, and
-the backward is hand-written backpropagation through time (the output
-layer over all tokens at once, the recurrence one token at a time).
-attend, decoder_step and output_logits compute the step with primitive
-tape ops; they are the gradient oracle the tests check that node against.
+encode is the one fact encoder: generation and training both call it.
+The training loss, sequence_log_likelihood, records a whole example as
+one tape node: the forward runs encode and then kernels.decode_step, the
+same step that generation uses, and the backward is hand-written
+backpropagation through time (the output layer over all tokens at once,
+the recurrence one token at a time, then the encoder).  The tests check
+that node against a gradient oracle built from primitive tape ops.
 
 Checkpoint container (binary, little-endian), documented here because
 generate/evaluate runs reload it:
@@ -44,22 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .autodiff import (
-    Tensor,
-    add,
-    concat,
-    custom_op,
-    log_softmax_values,
-    matvec,
-    mul,
-    one_minus,
-    pick,
-    scale,
-    sigmoid,
-    softmax,
-    take_row,
-    tanh_act,
-)
+from .autodiff import Tensor, custom_op, log_softmax_values, tanh_values
 from .data import BOS, QMARK, Fact, Vocabulary, replacing_writer
 from .errors import (ContractError, DimensionError, NumericError, ParseError,
                      UnknownIdError)
@@ -150,16 +135,6 @@ class QGenParams:
             np.copyto(t.value, values[name])
 
 
-@dataclass
-class FactEncoding:
-    """Projected encodings of the three atoms plus their concatenation."""
-
-    enc_s: Tensor
-    enc_r: Tensor
-    enc_o: Tensor
-    enc_all: Tensor
-
-
 def atom_indices(fact: Fact, input_vocab: Vocabulary) -> tuple[int, int, int]:
     """Strict vocabulary lookup for the three atoms, naming the role on failure."""
     out = []
@@ -171,70 +146,19 @@ def atom_indices(fact: Fact, input_vocab: Vocabulary) -> tuple[int, int, int]:
     return tuple(out)
 
 
-def encode_fact(fact: Fact, params: QGenParams,
-                input_vocab: Vocabulary) -> FactEncoding:
-    """Project each atom's frozen embedding row to the decoder width."""
-    proj = params.tensors["atom_proj"]
-    encs = []
-    for idx in atom_indices(fact, input_vocab):
-        frozen = Tensor(params.input_emb[idx])  # constant: no grad to the table
-        encs.append(matvec(proj, frozen))
-    return FactEncoding(encs[0], encs[1], encs[2], concat(encs))
-
-
-def init_state(enc: FactEncoding, params: QGenParams) -> Tensor:
-    """h_0 from a one-layer tanh network over the fact encoding."""
-    return tanh_act(matvec(params.tensors["init_proj"], enc.enc_all))
-
-
-def attend(enc: FactEncoding, h_prev: Tensor,
-           params: QGenParams) -> tuple[Tensor, Tensor]:
-    """Context vector and the three attention scalars.
-
-    The scalars come from a one-layer tanh network over [encoding; state]
-    followed by a sigmoid, so each lies in (0, 1) independently; they are
-    deliberately not normalized to sum to 1.
-    """
-    z = concat((enc.enc_all, h_prev))
-    hidden = tanh_act(matvec(params.tensors["att_hidden"], z))
-    alpha = sigmoid(matvec(params.tensors["att_score"], hidden))
-    c = add(
-        add(scale(pick(alpha, 0), enc.enc_s), scale(pick(alpha, 1), enc.enc_r)),
-        scale(pick(alpha, 2), enc.enc_o),
-    )
-    return c, alpha
-
-
-def decoder_step(w_prev: int, h_prev: Tensor, c: Tensor,
-                 params: QGenParams) -> Tensor:
-    """One gated recurrent update.
-
-    The update gate multiplies the old state and its complement the
-    candidate: h = g_u * h_prev + (1 - g_u) * cand.
-    """
+def encode(fact: Fact, params: QGenParams, input_vocab: Vocabulary):
+    """((enc_s, enc_r, enc_o, enc_all), h_0): each atom's frozen embedding
+    row projected to the decoder width, their concatenation, and the
+    initial state tanh(init_proj @ enc_all).  An encoding or h_0's
+    pre-activation that overflows raises NumericError."""
     t = params.tensors
-    e_w = take_row(t["word_emb"], w_prev)
-    g_r = sigmoid(add(add(matvec(t["reset_emb"], e_w), matvec(t["reset_ctx"], c)),
-                      matvec(t["reset_state"], h_prev)))
-    g_u = sigmoid(add(add(matvec(t["update_emb"], e_w), matvec(t["update_ctx"], c)),
-                      matvec(t["update_state"], h_prev)))
-    cand = tanh_act(add(add(matvec(t["cand_emb"], e_w), matvec(t["cand_ctx"], c)),
-                        matvec(t["cand_state"], mul(g_r, h_prev))))
-    return add(mul(g_u, h_prev), mul(one_minus(g_u), cand))
-
-
-def output_logits(h: Tensor, w_prev: int, c: Tensor, params: QGenParams) -> Tensor:
-    t = params.tensors
-    e_w = take_row(t["word_emb"], w_prev)
-    pre = tanh_act(add(add(matvec(t["out_state"], h), matvec(t["out_emb"], e_w)),
-                       matvec(t["out_ctx"], c)))
-    return matvec(t["out_proj"], pre)
-
-
-def output_distribution(h: Tensor, w_prev: int, c: Tensor,
-                        params: QGenParams) -> Tensor:
-    """Next-token probabilities; sums to 1, no component exactly 0 or 1."""
-    return softmax(output_logits(h, w_prev, c, params))
+    encs = [t["atom_proj"].value @ params.input_emb[idx]
+            for idx in atom_indices(fact, input_vocab)]
+    enc_all = np.concatenate(encs)
+    pre = t["init_proj"].value @ enc_all
+    if not (np.isfinite(enc_all).all() and np.isfinite(pre).all()):
+        raise NumericError("non-finite values in the fact encoding")
+    return (*encs, enc_all), tanh_values(pre)
 
 
 def sequence_log_likelihood(fact: Fact, question_tokens, params: QGenParams,
@@ -243,9 +167,9 @@ def sequence_log_likelihood(fact: Fact, question_tokens, params: QGenParams,
     """Sum of per-token log probabilities as a 0-d tensor (always <= 0).
 
     Out-of-vocabulary tokens map to <unk>.  The first decoder input is
-    <bos>; the question must end with '?'.  On an open tape the token loop
-    is one node whose parents are the fact encoding, h_0 and the decoder
-    weights.
+    <bos>; the question must end with '?'.  On an open tape the whole
+    example is one node whose parents are atom_proj, init_proj, word_emb
+    and the STEP_WEIGHTS.
     """
     tokens = list(question_tokens)
     if not tokens:
@@ -261,13 +185,11 @@ def sequence_log_likelihood(fact: Fact, question_tokens, params: QGenParams,
             f"sequence_log_likelihood: output vocabulary of {len(output_vocab)} "
             f"tokens exceeds the {word_emb.shape[0]} rows of word_emb")
 
-    enc = encode_fact(fact, params, input_vocab)
-    h0 = init_state(enc, params)
+    encodings, h0 = encode(fact, params, input_vocab)
+    atom_rows = params.input_emb[list(atom_indices(fact, input_vocab))]
     weights = [t[name] for name in kernels.STEP_WEIGHTS]
     step_weights = {name: w.value for name, w in zip(kernels.STEP_WEIGHTS, weights)}
-    encodings = (enc.enc_s.value, enc.enc_r.value, enc.enc_o.value,
-                 enc.enc_all.value)
-    h = h0.value
+    h = h0
     steps = []
     log_probs = []
     total = None
@@ -281,21 +203,21 @@ def sequence_log_likelihood(fact: Fact, question_tokens, params: QGenParams,
         h = step.h
 
     def backward(g):
-        return _backprop_through_time(g, steps, log_probs, inputs, targets,
-                                      h0.value, encodings, word_emb.value,
-                                      step_weights)
+        return _backprop_through_time(g, steps, log_probs, inputs, targets, h0,
+                                      encodings, atom_rows, t["init_proj"].value,
+                                      word_emb.value, step_weights)
 
-    return custom_op(total, (enc.enc_s, enc.enc_r, enc.enc_o, enc.enc_all, h0,
-                             word_emb, *weights), backward)
+    return custom_op(total, (t["atom_proj"], t["init_proj"], word_emb, *weights),
+                     backward)
 
 
 def _backprop_through_time(g, steps, log_probs, inputs, targets, h0,
-                           encodings, word_emb, w):
+                           encodings, atom_rows, init_proj, word_emb, w):
     """Gradients of g * (summed target log-probs) for sequence_log_likelihood's
-    node parents: enc_s, enc_r, enc_o, enc_all, h_0, word_emb, then the
-    STEP_WEIGHTS.  Rows of the (T, .) arrays are tokens; a gradient with
-    respect to a weight is the G^T X product of the gradients at its
-    output and its inputs over all T rows."""
+    node parents: atom_proj, init_proj, word_emb, then the STEP_WEIGHTS.
+    atom_rows are the atoms' frozen embedding rows.  Rows of the (T, .) arrays
+    are tokens; a gradient with respect to a weight is the G^T X product
+    of the gradients at its output and its inputs over all T rows."""
     n = len(targets)
     hidden = h0.shape[0]
     h_prev = np.stack([h0] + [s.h for s in steps[:-1]])
@@ -362,7 +284,16 @@ def _backprop_through_time(g, steps, log_probs, inputs, targets, h0,
               + d_n @ w["cand_emb"])
     d_enc = alpha.T @ d_c
     d_enc_all = d_att.sum(axis=0) @ w["att_hidden"][:, :3 * hidden]
-    return (d_enc[0], d_enc[1], d_enc[2], d_enc_all, dh, d_word_emb,
+
+    # the fact encoding, summed in the order reverse-mode over its three
+    # projections, the concatenation and h_0's tanh layer adds them
+    d_pre0 = dh * (1.0 - h0 * h0)
+    g_all = d_enc_all + init_proj.T @ d_pre0
+    g_enc = [d_enc[k] + g_all[k * hidden:(k + 1) * hidden] for k in range(3)]
+    d_atom_proj = ((np.outer(g_enc[2], atom_rows[2])
+                    + np.outer(g_enc[1], atom_rows[1]))
+                   + np.outer(g_enc[0], atom_rows[0]))
+    return (d_atom_proj, np.outer(d_pre0, encodings[3]), d_word_emb,
             *(grads[name] for name in kernels.STEP_WEIGHTS))
 
 

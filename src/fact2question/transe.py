@@ -33,9 +33,9 @@ class TransEConfig:
     def __post_init__(self):
         if self.dim < 1:
             raise ContractError(f"dim must be >= 1, got {self.dim}")
-        if self.margin <= 0:
+        if not self.margin > 0:
             raise ContractError(f"margin must be positive, got {self.margin}")
-        if self.learning_rate < 0:
+        if not self.learning_rate >= 0:
             raise ContractError(f"learning rate must be >= 0, got {self.learning_rate}")
         if self.epochs < 0:
             raise ContractError(f"epochs must be >= 0, got {self.epochs}")

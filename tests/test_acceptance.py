@@ -8,18 +8,14 @@ import numpy as np
 import pytest
 
 from conftest import make_toy_pairs, prepare_toy
-from fact2question.autodiff import Tensor, finite_diff_check
+from fact2question import kernels
+from fact2question.autodiff import finite_diff_check
 from fact2question.baseline import build_template_index, sample_question
 from fact2question.cli import run
 from fact2question.data import Fact, QAPair, Vocabulary, tokenize
 from fact2question.decoding import GenerationSession
 from fact2question.metrics import bleu, embedding_greedy, meteor_lite, WordVectorStore
-from fact2question.model import (
-    QGenParams,
-    attend,
-    encode_fact,
-    sequence_log_likelihood,
-)
+from fact2question.model import QGenParams, encode, sequence_log_likelihood
 from fact2question.placeholders import (
     is_placeholder,
     placeholderize,
@@ -247,14 +243,15 @@ def test_criterion_8_attention_invariant():
                                  input_emb=rng.normal(size=(4, 3)))
         for tensor in params.tensors.values():
             tensor.value[:] = rng.normal(scale=2.0, size=tensor.value.shape)
-        enc = encode_fact(fact, params, input_vocab)
-        h_prev = Tensor(rng.normal(size=4))
-        c, alpha = attend(enc, h_prev, params)
-        a = alpha.value
+        (enc_s, enc_r, enc_o, enc_all), _ = encode(fact, params, input_vocab)
+        h_prev = rng.normal(size=4)
+        step = kernels.decode_step(
+            params.tensors["word_emb"].value[1], h_prev, enc_s, enc_r, enc_o,
+            enc_all, *(params.tensors[name].value for name in kernels.STEP_WEIGHTS))
+        a = step.alpha
         ok &= bool(np.all((a > 0.0) & (a < 1.0)))
-        weighted = (a[0] * enc.enc_s.value + a[1] * enc.enc_r.value
-                    + a[2] * enc.enc_o.value)
-        ok &= bool(np.max(np.abs(c.value - weighted)) <= 1e-12)
+        weighted = a[0] * enc_s + a[1] * enc_r + a[2] * enc_o
+        ok &= bool(np.max(np.abs(step.c - weighted)) <= 1e-12)
     _report(8, "1000 draws: attention scalars in (0,1), c is the weighted sum",
             bool(ok))
 

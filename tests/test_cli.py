@@ -304,6 +304,21 @@ def test_train_qgen_bad_settings_exit_two(toy_files, capsys, flag, value, messag
     assert not (out_dir / "checkpoint.bin").exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--margin", "nan", "margin must be positive, got nan"),
+    ("--margin", "0", "margin must be positive, got 0.0"),
+    ("--learning-rate", "nan", "learning rate must be >= 0, got nan"),
+], ids=["margin-nan", "margin-zero", "learning-rate-nan"])
+def test_train_transe_bad_settings_exit_two(toy_files, capsys, flag, value, message):
+    d = toy_files["dir"]
+    ent, rel = d / "e6.txt", d / "r6.txt"
+    assert run(["train-transe", "--questions", str(toy_files["train"]),
+                "--dim", "4", "--epochs", "1", flag, value,
+                "--out-entities", str(ent), "--out-relations", str(rel)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not ent.exists() and not rel.exists()
+
+
 def test_train_qgen_forwards_max_len_to_validation(toy_files, monkeypatch):
     seen = []
 

@@ -6,8 +6,8 @@ import pytest
 from fact2question.data import BOS, Fact, Vocabulary
 from fact2question.decoding import GenerationSession, generate_corpus
 from fact2question.errors import ContractError, ParseError
-from fact2question.model import (
-    QGenParams,
+from fact2question.model import QGenParams
+from tape_oracle import (
     attend,
     decoder_step,
     encode_fact,

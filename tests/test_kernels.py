@@ -4,8 +4,8 @@ import pytest
 from fact2question import kernels
 from fact2question.autodiff import Tensor
 from fact2question.data import Fact, Vocabulary
-from fact2question.model import (
-    QGenParams,
+from fact2question.model import QGenParams
+from tape_oracle import (
     attend,
     decoder_step,
     encode_fact,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fact2question import metrics
 from fact2question.errors import ContractError, ParseError
 from fact2question.metrics import (
     WordVectorStore,
@@ -155,6 +156,17 @@ def test_meteor_renaming_invariance_for_stem_fixed_tokens():
     renamed_r = [rename[t] for t in ref]
     assert meteor_lite(cand, ref) == pytest.approx(
         meteor_lite(renamed_c, renamed_r), abs=1e-12)
+
+
+def test_meteor_stems_each_word_once_per_call(monkeypatch):
+    # a decoder that repeats a 3-word subject 28 times: the alignment search
+    # spends its whole node budget, and every node sees the same free tokens
+    cand = T("what is the " + "john smith jr " * 28 + "?")
+    ref = T("what is the birthplace of john smith jr ?")
+    calls = []
+    monkeypatch.setattr(metrics, "stem", lambda w: calls.append(w) or w)
+    assert meteor_lite(cand, ref) == 39.78988044922111
+    assert len(calls) <= len(cand) + len(ref)
 
 
 def test_meteor_never_exceeds_100():

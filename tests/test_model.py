@@ -7,16 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fact2question.autodiff import (
-    Tape,
-    Tensor,
-    add,
-    backprop,
-    finite_diff_check,
-    log_softmax,
-    pick,
-)
+from fact2question.autodiff import Tape, Tensor, backprop, finite_diff_check
 from fact2question.data import BOS, Fact, Vocabulary
+from fact2question.decoding import GenerationSession
 from fact2question.errors import (
     ContractError,
     DimensionError,
@@ -28,20 +21,24 @@ from fact2question.model import (
     CHECKPOINT_MAGIC,
     INPUT_EMB_NAME,
     QGenParams,
+    encode,
+    load_checkpoint,
+    save_checkpoint,
+    sequence_log_likelihood,
+)
+from tape_oracle import (
     attend,
     decoder_step,
     encode_fact,
     init_state,
-    load_checkpoint,
     output_distribution,
-    output_logits,
-    save_checkpoint,
-    sequence_log_likelihood,
+    tape_sequence_log_likelihood,
 )
 
 INPUT_VOCAB = Vocabulary(["<unk>", "s0", "r0", "o0"])
 OUTPUT_VOCAB = Vocabulary(["<unk>", "<bos>", "?", "w3", "w4", "w5", "w6", "w7"])
 FACT = Fact("s0", "r0", "o0")
+SELF_FACT = Fact("s0", "r0", "s0")
 
 
 def _params(seed=0, d_enc=4, d_dec=4, hidden=6, n_out=8, zero=False,
@@ -60,56 +57,64 @@ def _params(seed=0, d_enc=4, d_dec=4, hidden=6, n_out=8, zero=False,
 
 def test_encode_fact_zero_projection():
     params = _params(zero=True)
-    enc = encode_fact(FACT, params, INPUT_VOCAB)
-    for part in (enc.enc_s, enc.enc_r, enc.enc_o):
-        assert np.array_equal(part.value, np.zeros(6))
+    (enc_s, enc_r, enc_o, enc_all), _ = encode(FACT, params, INPUT_VOCAB)
+    for part in (enc_s, enc_r, enc_o):
+        assert np.array_equal(part, np.zeros(6))
+    assert np.array_equal(enc_all, np.zeros(18))
 
 
 def test_encode_fact_identity_projection_returns_raw_rows():
     params = _params(d_enc=4, hidden=4)
     params.tensors["atom_proj"].value[:] = np.eye(4)
-    enc = encode_fact(FACT, params, INPUT_VOCAB)
-    s, r, o = (INPUT_VOCAB.index(a) for a in FACT.atoms())
-    assert np.array_equal(enc.enc_s.value, params.input_emb[s])
-    assert np.array_equal(enc.enc_r.value, params.input_emb[r])
-    assert np.array_equal(enc.enc_o.value, params.input_emb[o])
+    encodings, _ = encode(FACT, params, INPUT_VOCAB)
+    for part, atom in zip(encodings, FACT.atoms()):
+        assert np.array_equal(part, params.input_emb[INPUT_VOCAB.index(atom)])
 
 
 def test_encode_fact_matches_matvec_oracle():
     params = _params(seed=3)
-    enc = encode_fact(FACT, params, INPUT_VOCAB)
+    (enc_s, enc_r, enc_o, enc_all), _ = encode(FACT, params, INPUT_VOCAB)
     proj = params.tensors["atom_proj"].value
     s = INPUT_VOCAB.index("s0")
-    assert np.allclose(enc.enc_s.value, proj @ params.input_emb[s])
-    assert np.array_equal(
-        enc.enc_all.value,
-        np.concatenate([enc.enc_s.value, enc.enc_r.value, enc.enc_o.value]))
+    assert np.allclose(enc_s, proj @ params.input_emb[s])
+    assert np.array_equal(enc_all, np.concatenate([enc_s, enc_r, enc_o]))
 
 
 def test_encode_fact_unknown_atom_names_role():
     params = _params()
     with pytest.raises(UnknownIdError, match="subject.*nope"):
-        encode_fact(Fact("nope", "r0", "o0"), params, INPUT_VOCAB)
+        encode(Fact("nope", "r0", "o0"), params, INPUT_VOCAB)
     with pytest.raises(UnknownIdError, match="relationship"):
-        encode_fact(Fact("s0", "nope", "o0"), params, INPUT_VOCAB)
+        encode(Fact("s0", "nope", "o0"), params, INPUT_VOCAB)
+    with pytest.raises(UnknownIdError, match="object"):
+        encode(Fact("s0", "r0", "nope"), params, INPUT_VOCAB)
 
 
 def test_init_state_zero_cases():
     params = _params(zero=True)
-    enc = encode_fact(FACT, params, INPUT_VOCAB)
-    assert np.array_equal(init_state(enc, params).value, np.zeros(6))
+    assert np.array_equal(encode(FACT, params, INPUT_VOCAB)[1], np.zeros(6))
 
     params2 = _params()
     params2.input_emb[:] = 0.0
-    enc2 = encode_fact(FACT, params2, INPUT_VOCAB)
-    assert np.array_equal(init_state(enc2, params2).value, np.zeros(6))
+    assert np.array_equal(encode(FACT, params2, INPUT_VOCAB)[1], np.zeros(6))
 
 
 def test_init_state_matches_oracle():
     params = _params(seed=5)
-    enc = encode_fact(FACT, params, INPUT_VOCAB)
-    expected = np.tanh(params.tensors["init_proj"].value @ enc.enc_all.value)
-    assert np.allclose(init_state(enc, params).value, expected, atol=1e-15)
+    encodings, h0 = encode(FACT, params, INPUT_VOCAB)
+    expected = np.tanh(params.tensors["init_proj"].value @ encodings[3])
+    assert np.allclose(h0, expected, atol=1e-15)
+
+
+def test_encode_equals_tape_oracle_bitwise():
+    params = _params(seed=6)
+    for fact in (FACT, SELF_FACT):
+        encodings, h0 = encode(fact, params, INPUT_VOCAB)
+        enc = encode_fact(fact, params, INPUT_VOCAB)
+        oracle = (enc.enc_s, enc.enc_r, enc.enc_o, enc.enc_all)
+        for part, ref in zip(encodings, oracle):
+            assert np.array_equal(part, ref.value)
+        assert np.array_equal(h0, init_state(enc, params).value)
 
 
 def test_attend_zero_parameters_halves_everything():
@@ -316,25 +321,6 @@ def test_sequence_ll_gradients_match_finite_differences():
     assert err <= 1e-4
 
 
-def tape_sequence_log_likelihood(fact, question_tokens, params, input_vocab,
-                                 output_vocab):
-    """The gradient oracle: sequence_log_likelihood written with primitive
-    tape ops, about 48 nodes per token."""
-    targets = [output_vocab.index_or_unk(tok) for tok in question_tokens]
-
-    enc = encode_fact(fact, params, input_vocab)
-    h = init_state(enc, params)
-    w_prev = output_vocab.index(BOS)
-    total = None
-    for target in targets:
-        c, _ = attend(enc, h, params)
-        h = decoder_step(w_prev, h, c, params)
-        logp = pick(log_softmax(output_logits(h, w_prev, c, params)), target)
-        total = logp if total is None else add(total, logp)
-        w_prev = target
-    return total
-
-
 # lengths 1-6, with a repeated target word and <unk> targets
 ORACLE_QUESTIONS = [
     ["?"],
@@ -346,44 +332,47 @@ ORACLE_QUESTIONS = [
 ]
 
 
-def _loss_and_gradients(fn, tokens, params):
+def _loss_and_gradients(fn, tokens, params, fact=FACT):
     with Tape() as tape:
         tape.watch(params.trainable())
-        ll = fn(FACT, tokens, params, INPUT_VOCAB, OUTPUT_VOCAB)
+        ll = fn(fact, tokens, params, INPUT_VOCAB, OUTPUT_VOCAB)
     return ll.item(), backprop(tape, ll), len(tape)
 
 
 @pytest.mark.parametrize("weight_scale", [1.0, 10.0])
 @pytest.mark.parametrize("seed", range(16))
 def test_fused_node_matches_tape_oracle(seed, weight_scale):
-    # weight_scale 10 drives the gates and activations into saturation
+    # weight_scale 10 drives the gates and activations into saturation; the
+    # second fact has its subject as its object, so two projections of one
+    # embedding row add into atom_proj's gradient
     params = _params(seed=seed, d_dec=5)
     rng = np.random.default_rng(seed + 50)
     for tensor in params.tensors.values():
         tensor.value[:] = rng.normal(scale=0.4 * weight_scale,
                                      size=tensor.value.shape)
-    for tokens in ORACLE_QUESTIONS:
-        loss, grads, _ = _loss_and_gradients(sequence_log_likelihood, tokens,
-                                             params)
-        ref_loss, ref_grads, _ = _loss_and_gradients(
-            tape_sequence_log_likelihood, tokens, params)
-        assert abs(loss - ref_loss) <= 1e-12
-        assert set(grads) == set(ref_grads)
-        for name, ref in ref_grads.items():
-            scale = np.max(np.abs(ref))
-            assert scale > 0.0, name
-            err = np.max(np.abs(grads[name] - ref)) / scale
-            assert err <= 1e-10, (tokens, name, err)
+    for fact in (FACT, SELF_FACT):
+        for tokens in ORACLE_QUESTIONS:
+            loss, grads, _ = _loss_and_gradients(sequence_log_likelihood, tokens,
+                                                 params, fact)
+            ref_loss, ref_grads, _ = _loss_and_gradients(
+                tape_sequence_log_likelihood, tokens, params, fact)
+            assert abs(loss - ref_loss) <= 1e-12
+            assert set(grads) == set(ref_grads)
+            for name, ref in ref_grads.items():
+                scale = np.max(np.abs(ref))
+                assert scale > 0.0, name
+                err = np.max(np.abs(grads[name] - ref)) / scale
+                assert err <= 1e-10, (fact, tokens, name, err)
 
 
 def test_fused_node_tape_length_does_not_grow_with_question():
     params = _params(seed=1)
     lengths = {_loss_and_gradients(sequence_log_likelihood, tokens, params)[2]
                for tokens in ORACLE_QUESTIONS}
-    # the fact encoding's tape ops, then one node for the token loop
-    assert lengths == {7}
+    # one node for the whole example, fact encoding included
+    assert lengths == {1}
     assert _loss_and_gradients(tape_sequence_log_likelihood,
-                               ORACLE_QUESTIONS[-1], params)[2] > 7
+                               ORACLE_QUESTIONS[-1], params)[2] > 1
 
 
 def test_fused_node_nan_weights_raise_numeric_error():
@@ -394,6 +383,21 @@ def test_fused_node_nan_weights_raise_numeric_error():
         with pytest.raises(NumericError):
             sequence_log_likelihood(FACT, ["w3", "?"], params, INPUT_VOCAB,
                                     OUTPUT_VOCAB)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_overflowing_fact_encoding_raises_numeric_error():
+    # finite weights whose atom encodings overflow: generation and training
+    # must both stop rather than decode or differentiate infinities
+    params = _params(seed=3)
+    params.tensors["atom_proj"].value[:] = 1e308
+    session = GenerationSession(params, INPUT_VOCAB, OUTPUT_VOCAB)
+    with pytest.raises(NumericError, match="fact encoding"):
+        session.greedy_indices(FACT)
+    with pytest.raises(NumericError, match="fact encoding"):
+        sequence_log_likelihood(FACT, ["w3", "?"], params, INPUT_VOCAB,
+                                OUTPUT_VOCAB)
 
 
 def test_frozen_input_table_gets_no_gradient():
