@@ -64,12 +64,9 @@ class GenerationSession:
         self._bos = output_vocab.index(BOS)
         self._qmark = output_vocab.index(QMARK)
 
-    def _encode(self, fact: Fact):
-        return encode(fact, self.params, self.input_vocab)
-
     def greedy_indices(self, fact: Fact) -> list[int]:
         """Argmax decode as vocabulary indices (ties pick the lowest index)."""
-        enc, h = self._encode(fact)
+        enc, h = encode(fact, self.params, self.input_vocab)
         w_prev = self._bos
         out: list[int] = []
         for _ in range(self.max_len - 1):
@@ -89,7 +86,7 @@ class GenerationSession:
         smallest) first."""
         if width < 1:
             raise ContractError(f"beam width must be >= 1, got {width}")
-        enc, h0 = self._encode(fact)
+        enc, h0 = encode(fact, self.params, self.input_vocab)
         # live beams carry their recurrent state; finished ones do not
         beams: list[tuple[Hypothesis, np.ndarray, int]] = [
             (Hypothesis((), 0.0, False), h0, self._bos)

@@ -5,6 +5,11 @@ METEOR-lite keeps the original METEOR constants and matching stages
 numbers are not comparable to WordNet-based METEOR scores; reports label
 the column accordingly.  BLEU applies add-epsilon smoothing (1e-9) to
 zero n-gram counts at corpus level so tiny corpora never hit log(0).
+
+METEOR-lite's chunk count is the fewest over every maximal alignment
+when a depth-first search of them visits fewer than 20,000 nodes, and
+the leftmost-in-order alignment's otherwise.  The node count follows
+from the matching groups' sizes, so it is known before any search runs.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from typing import Sequence
 
 import numpy as np
@@ -92,10 +97,6 @@ def bleu(candidates: Sequence[Sequence[str]], references: Sequence[Sequence[str]
 # ---------------------------------------------------------------------------
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
 def _stage_groups(cand, ref, cand_free, ref_free, key_fn):
     cmap: dict[str, list[int]] = {}
     rmap: dict[str, list[int]] = {}
@@ -103,11 +104,8 @@ def _stage_groups(cand, ref, cand_free, ref_free, key_fn):
         cmap.setdefault(key_fn(cand[i]), []).append(i)
     for j in sorted(ref_free):
         rmap.setdefault(key_fn(ref[j]), []).append(j)
-    groups = []
-    for key in sorted(cmap):
-        if key in rmap:
-            groups.append((cmap[key], rmap[key], min(len(cmap[key]), len(rmap[key]))))
-    return groups
+    return [(cmap[key], rmap[key], min(len(cmap[key]), len(rmap[key])))
+            for key in sorted(cmap) if key in rmap]
 
 
 def _count_chunks(pairs: list[tuple[int, int]]) -> int:
@@ -121,63 +119,49 @@ def _count_chunks(pairs: list[tuple[int, int]]) -> int:
     return chunks
 
 
+def _options(ci, rj, k):
+    """Every way a stage group can pair k of its candidate positions with
+    k of its reference positions, the in-order pairing first."""
+    return [list(zip(csel, rsel))
+            for csel in combinations(ci, k) for rsel in permutations(rj, k)]
+
+
+def _alignments(cand, ref, stages, pairs):
+    """Every maximal alignment that extends `pairs`, the leftmost-in-order
+    one first."""
+    if not stages:
+        yield pairs
+        return
+    cand_free = set(range(len(cand))).difference(i for i, _ in pairs)
+    ref_free = set(range(len(ref))).difference(j for _, j in pairs)
+    groups = _stage_groups(cand, ref, cand_free, ref_free, stages[0])
+    for choice in product(*(_options(*group) for group in groups)):
+        yield from _alignments(cand, ref, stages[1:],
+                               pairs + [p for option in choice for p in option])
+
+
 def _align(cand: Sequence[str], ref: Sequence[str]) -> list[tuple[int, int]]:
     """Two-stage unigram alignment (exact then stem), maximal in match
-    count; among maximal alignments the chunk count is minimized, by
-    exhaustive search up to a node budget and leftmost-in-order pairing
-    beyond it.  Each word is stemmed once per call: the search revisits
-    the same free tokens at every node."""
+    count, with the fewest chunks found as the module docstring says.
+    Each stage pairs min(c, r) of a key's c candidate and r reference
+    copies whichever positions it picks, so every choice leaves the next
+    stage the same group sizes.  Each word is stemmed once per call."""
     stages = (lambda t: t, functools.cache(stem))
-    best: list[tuple[int, int] | None] = [None]
-    best_chunks = [len(cand) + len(ref) + 1]
-    budget = [_ALIGN_BUDGET]
-
-    def dfs_stage(stage_idx, cand_free, ref_free, pairs):
-        if stage_idx == len(stages):
-            chunks = _count_chunks(pairs)
-            if chunks < best_chunks[0]:
-                best_chunks[0] = chunks
-                best[0] = list(pairs)
-            return
-        groups = _stage_groups(cand, ref, cand_free, ref_free, stages[stage_idx])
-        dfs_group(stage_idx, groups, 0, cand_free, ref_free, pairs)
-
-    def dfs_group(stage_idx, groups, gi, cand_free, ref_free, pairs):
-        if gi == len(groups):
-            dfs_stage(stage_idx + 1, cand_free, ref_free, pairs)
-            return
-        ci, rj, k = groups[gi]
-        for csel in combinations(ci, k):
-            for rsel in combinations(rj, k):
-                for rperm in permutations(rsel):
-                    budget[0] -= 1
-                    if budget[0] <= 0:
-                        raise _BudgetExceeded
-                    dfs_group(
-                        stage_idx, groups, gi + 1,
-                        cand_free - set(csel), ref_free - set(rperm),
-                        pairs + list(zip(csel, rperm)),
-                    )
-
-    try:
-        dfs_stage(0, frozenset(range(len(cand))), frozenset(range(len(ref))), [])
-        assert best[0] is not None
-        return best[0]
-    except _BudgetExceeded:
-        return _align_in_order(cand, ref, stages)
-
-
-def _align_in_order(cand, ref, stages) -> list[tuple[int, int]]:
-    pairs: list[tuple[int, int]] = []
-    cand_free = set(range(len(cand)))
-    ref_free = set(range(len(ref)))
+    cand_free, ref_free = set(range(len(cand))), set(range(len(ref)))
+    in_order: list[tuple[int, int]] = []
+    nodes, leaves = 0, 1
     for key_fn in stages:
         for ci, rj, k in _stage_groups(cand, ref, cand_free, ref_free, key_fn):
-            for i, j in zip(ci[:k], rj[:k]):
-                pairs.append((i, j))
-                cand_free.discard(i)
-                ref_free.discard(j)
-    return pairs
+            # a depth-first search visits each of this group's options
+            # under every choice made for the groups before it
+            leaves *= math.comb(len(ci), k) * math.perm(len(rj), k)
+            nodes += leaves
+            in_order += zip(ci[:k], rj[:k])
+            cand_free.difference_update(ci[:k])
+            ref_free.difference_update(rj[:k])
+    if leaves == 1 or nodes >= _ALIGN_BUDGET:
+        return in_order
+    return min(_alignments(cand, ref, stages, []), key=_count_chunks)
 
 
 def meteor_lite(candidate: Sequence[str], reference: Sequence[str]) -> float:

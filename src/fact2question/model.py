@@ -150,14 +150,15 @@ def encode(fact: Fact, params: QGenParams, input_vocab: Vocabulary):
     """((enc_s, enc_r, enc_o, enc_all), h_0): each atom's frozen embedding
     row projected to the decoder width, their concatenation, and the
     initial state tanh(init_proj @ enc_all).  An encoding or h_0's
-    pre-activation that overflows raises NumericError."""
+    pre-activation that overflows raises NumericError naming the fact."""
     t = params.tensors
-    encs = [t["atom_proj"].value @ params.input_emb[idx]
-            for idx in atom_indices(fact, input_vocab)]
-    enc_all = np.concatenate(encs)
-    pre = t["init_proj"].value @ enc_all
+    with np.errstate(over="ignore", invalid="ignore"):
+        encs = [t["atom_proj"].value @ params.input_emb[idx]
+                for idx in atom_indices(fact, input_vocab)]
+        enc_all = np.concatenate(encs)
+        pre = t["init_proj"].value @ enc_all
     if not (np.isfinite(enc_all).all() and np.isfinite(pre).all()):
-        raise NumericError("non-finite values in the fact encoding")
+        raise NumericError(f"non-finite values in the fact encoding of {fact.atoms()!r}")
     return (*encs, enc_all), tanh_values(pre)
 
 

@@ -159,14 +159,20 @@ def test_meteor_renaming_invariance_for_stem_fixed_tokens():
 
 
 def test_meteor_stems_each_word_once_per_call(monkeypatch):
-    # a decoder that repeats a 3-word subject 28 times: the alignment search
-    # spends its whole node budget, and every node sees the same free tokens
+    # a decoder that repeats a 3-word subject 28 times: far too many
+    # alignments to search, and the stem stage still sees each free word
+    # through the module's `stem`, which traced runs patch
     cand = T("what is the " + "john smith jr " * 28 + "?")
     ref = T("what is the birthplace of john smith jr ?")
     calls = []
     monkeypatch.setattr(metrics, "stem", lambda w: calls.append(w) or w)
     assert meteor_lite(cand, ref) == 39.78988044922111
     assert len(calls) <= len(cand) + len(ref)
+    calls.clear()
+    monkeypatch.setattr(metrics, "stem", lambda w: calls.append(w) or w[:4])
+    assert meteor_lite(T("the cat walked ?"), T("the cat walking ?")) == \
+        100.0 * (1.0 - 0.5 / 64.0)
+    assert sorted(calls) == ["walked", "walking"]
 
 
 def test_meteor_never_exceeds_100():

@@ -1,6 +1,7 @@
 import math
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -385,19 +386,22 @@ def test_fused_node_nan_weights_raise_numeric_error():
                                     OUTPUT_VOCAB)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 def test_overflowing_fact_encoding_raises_numeric_error():
     # finite weights whose atom encodings overflow: generation and training
-    # must both stop rather than decode or differentiate infinities
+    # must both stop rather than decode or differentiate infinities, with
+    # one error that names the fact and no numpy warnings before it
     params = _params(seed=3)
     params.tensors["atom_proj"].value[:] = 1e308
     session = GenerationSession(params, INPUT_VOCAB, OUTPUT_VOCAB)
-    with pytest.raises(NumericError, match="fact encoding"):
-        session.greedy_indices(FACT)
-    with pytest.raises(NumericError, match="fact encoding"):
-        sequence_log_likelihood(FACT, ["w3", "?"], params, INPUT_VOCAB,
-                                OUTPUT_VOCAB)
+    names_fact = "fact encoding of " + re.escape(repr(FACT.atoms()))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericError, match=names_fact):
+            session.greedy_indices(FACT)
+        with pytest.raises(NumericError, match=names_fact):
+            sequence_log_likelihood(FACT, ["w3", "?"], params, INPUT_VOCAB,
+                                    OUTPUT_VOCAB)
+    assert [str(w.message) for w in caught] == []
 
 
 def test_frozen_input_table_gets_no_gradient():
