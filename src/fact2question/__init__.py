@@ -7,7 +7,7 @@ generation (decoding), a template baseline (baseline), and BLEU /
 METEOR-lite / Embedding-Greedy scoring (metrics).
 """
 
-from .autodiff import Tape, Tensor, backprop, finite_diff_check
+from .autodiff import Tape, backprop, finite_diff_check
 from .data import Fact, QAPair, Vocabulary, load_simplequestions, load_triples, tokenize
 from .errors import Fact2QuestionError
 from .model import QGenParams, sequence_log_likelihood
@@ -21,7 +21,6 @@ __all__ = [
     "QAPair",
     "QGenParams",
     "Tape",
-    "Tensor",
     "TransEConfig",
     "TransEModel",
     "Vocabulary",

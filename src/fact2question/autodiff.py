@@ -1,12 +1,15 @@
-"""Dense fp64 tensors with tape-based reverse-mode differentiation, and the
+"""Tape-based reverse-mode differentiation over float64 arrays, and the
 clamped activations that the numpy kernels share.
 
-A Tape records nodes during a forward pass (define-by-run); backprop()
-replays the record in reverse creation order.  custom_op is the one way to
-record a node: its caller computes the value and writes the backward.  The
-decoder loss (model.sequence_log_likelihood) is one such node per example.
-Without an open tape, custom_op just wraps its value.  finite_diff_check
-compares backprop's gradients with central finite differences.
+Parameters, node values and gradients are plain float64 ndarrays; the tape
+tells them apart by object identity.  A Tape records nodes during a forward
+pass (define-by-run); backprop() replays the record in reverse creation
+order.  custom_op is the one way to record a node: its caller computes the
+value and writes the backward.  The decoder loss
+(model.sequence_log_likelihood) is one such node per example.  Without an
+open tape, custom_op just returns a fresh copy of its value.
+finite_diff_check compares backprop's gradients with central finite
+differences.
 """
 
 from __future__ import annotations
@@ -43,37 +46,6 @@ def log_softmax_values(x):
     return s - np.log(np.sum(np.exp(s)))
 
 
-class Tensor:
-    """A float64 ndarray plus an optional name.
-
-    Leaves (parameters, constants) are built directly; node outputs are
-    built by custom_op.  Values are treated as immutable once a node has
-    consumed them; leaf values may be updated between tapes (that is how
-    the optimizer works).
-    """
-
-    __slots__ = ("value", "name")
-
-    def __init__(self, value, name: str | None = None):
-        arr = np.asarray(value, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
-            raise NumericError(
-                f"non-finite values in tensor{' ' + repr(name) if name else ''}")
-        self.value = arr
-        self.name = name
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.value.shape
-
-    def item(self) -> float:
-        return float(self.value)
-
-    def __repr__(self):
-        label = f" {self.name!r}" if self.name else ""
-        return f"Tensor{label}(shape={self.value.shape})"
-
-
 class Tape:
     """Ordered record of the nodes built during a forward pass.
 
@@ -81,9 +53,9 @@ class Tape:
     """
 
     def __init__(self):
-        self._entries: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
+        self._entries: list[tuple[np.ndarray, tuple[np.ndarray, ...], Callable]] = []
         self._outputs: set[int] = set()
-        self._params: dict[str, Tensor] = {}
+        self._params: dict[str, np.ndarray] = {}
 
     def __enter__(self) -> "Tape":
         _TAPES.append(self)
@@ -94,10 +66,9 @@ class Tape:
         assert popped is self, "tapes closed out of order"
         return False
 
-    def watch(self, params: Mapping[str, Tensor]) -> None:
+    def watch(self, params: Mapping[str, np.ndarray]) -> None:
         """Register named parameters that backprop() reports gradients for."""
-        for name, tensor in params.items():
-            self._params[name] = tensor
+        self._params.update(params)
 
     def _record(self, out, parents, backward):
         self._entries.append((out, parents, backward))
@@ -110,22 +81,27 @@ class Tape:
 _TAPES: list[Tape] = []
 
 
-def custom_op(value, parents: Sequence[Tensor], backward: Callable) -> Tensor:
+def custom_op(value, parents: Sequence[np.ndarray],
+              backward: Callable) -> np.ndarray:
     """A node whose forward ran outside the tape, recorded on the innermost
     open tape.
 
     value is its result; backward(g) must return one gradient per parent,
-    in order, each shaped like that parent (or None for no gradient).
+    in order, each shaped like that parent (or None for no gradient).  The
+    node is a new float64 array, never value itself, so its identity is
+    distinct from every parent's; a non-finite value raises NumericError.
     """
-    out = Tensor(value)
+    out = np.array(value, dtype=np.float64)
+    if not np.isfinite(out).all():
+        raise NumericError("non-finite values in tensor")
     if _TAPES:
         _TAPES[-1]._record(out, tuple(parents), backward)
     return out
 
 
-def backprop(tape: Tape, loss: Tensor) -> dict[str, np.ndarray]:
+def backprop(tape: Tape, loss: np.ndarray) -> dict[str, np.ndarray]:
     """d(loss)/d(param) for every watched parameter; unused params get zeros."""
-    if loss.value.ndim != 0:
+    if loss.ndim != 0:
         raise ContractError(f"backprop: scalar loss expected, got shape {loss.shape}")
     if id(loss) not in tape._outputs:
         raise ContractError("backprop: loss is not a node on this tape")
@@ -140,24 +116,26 @@ def backprop(tape: Tape, loss: Tensor) -> dict[str, np.ndarray]:
             acc = grads.get(id(parent))
             grads[id(parent)] = pg if acc is None else acc + pg
     return {
-        name: grads[id(p)] if id(p) in grads else np.zeros_like(p.value)
+        name: grads[id(p)] if id(p) in grads else np.zeros_like(p)
         for name, p in tape._params.items()
     }
 
 
 def finite_diff_check(
-    f: Callable[[], Tensor],
-    params: Mapping[str, Tensor],
+    f: Callable[[], np.ndarray],
+    params: Mapping[str, np.ndarray],
     eps: float = 1e-5,
 ) -> float:
     """Max relative error between backprop and central finite differences.
 
     f must rebuild the scalar loss from the current parameter values on
-    every call and must be deterministic.  Relative error per coordinate
-    is |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
+    every call and must be deterministic.  Each parameter is perturbed in
+    place, so it must be a contiguous array that f reads.  Relative error
+    per coordinate is |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
     """
-    if eps <= 0:
-        raise ContractError("finite_diff_check: eps must be positive")
+    if not 0 < eps < np.inf:
+        raise ContractError(
+            f"finite_diff_check: eps must be positive and finite, got {eps}")
     with Tape() as tape:
         tape.watch(params)
         loss = f()
@@ -165,7 +143,7 @@ def finite_diff_check(
 
     worst = 0.0
     for name, p in params.items():
-        flat = p.value.reshape(-1)
+        flat = p.reshape(-1)
         ga = analytic[name].reshape(-1)
         for i in range(flat.size):
             orig = flat[i]

@@ -406,7 +406,7 @@ def _cmd_gradcheck(cfg) -> int:
         hidden=hidden, seed=cfg["seed"],
         input_emb=rng.normal(size=(len(input_vocab), d_enc)))
     for tensor in params.tensors.values():
-        tensor.value[:] = rng.normal(scale=0.4, size=tensor.value.shape)
+        tensor[:] = rng.normal(scale=0.4, size=tensor.shape)
     fact = Fact("s0", "r0", "o0")
     tokens = ["w3", "w4", "w5", "w6", "?"]
 
@@ -414,7 +414,7 @@ def _cmd_gradcheck(cfg) -> int:
         return sequence_log_likelihood(fact, tokens, params, input_vocab,
                                        output_vocab)
 
-    err = finite_diff_check(loss, params.trainable(), eps=cfg["eps"])
+    err = finite_diff_check(loss, params.tensors, eps=cfg["eps"])
     print(f"max relative error: {err:.3e} (tolerance {GRADCHECK_TOLERANCE:g})")
     if err <= GRADCHECK_TOLERANCE:
         return 0

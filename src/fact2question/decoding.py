@@ -59,8 +59,8 @@ class GenerationSession:
         self.names = names
         self.max_len = max_len
         t = params.tensors
-        self._word_emb = t["word_emb"].value
-        self._step_weights = tuple(t[name].value for name in kernels.STEP_WEIGHTS)
+        self._word_emb = t["word_emb"]
+        self._step_weights = tuple(t[name] for name in kernels.STEP_WEIGHTS)
         self._bos = output_vocab.index(BOS)
         self._qmark = output_vocab.index(QMARK)
 

@@ -4,8 +4,8 @@ A fact's three atoms are embedded with frozen translation-embedding rows
 and projected to the decoder width.  Each decoding step computes three
 sigmoid attention scalars over the atom encodings, a gated recurrent
 update, and a softmax over the output vocabulary.  All trainable
-parameters live in QGenParams.tensors; the input embedding table is
-frozen and excluded from gradients.
+parameters live in QGenParams.tensors as float64 arrays; the input
+embedding table is frozen and excluded from gradients.
 
 encode is the one fact encoder: generation and training both call it.
 The training loss, sequence_log_likelihood, records a whole example as
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .autodiff import Tensor, custom_op, log_softmax_values, tanh_values
+from .autodiff import custom_op, log_softmax_values, tanh_values
 from .data import BOS, QMARK, Fact, Vocabulary, replacing_writer
 from .errors import (ContractError, DimensionError, NumericError, ParseError,
                      UnknownIdError)
@@ -77,14 +77,18 @@ def param_shapes(n_in: int, n_out: int, d_enc: int, d_dec: int,
 @dataclass
 class QGenParams:
     """All model weights plus the frozen input embedding table.  Construction
-    checks every name and shape against param_shapes (DimensionError) for
-    the dims of input_emb, word_emb and atom_proj, and that the table is
-    finite (NumericError)."""
+    stores every tensor as a float64 array (a float64 array is not copied),
+    and checks every name and shape against param_shapes (DimensionError)
+    for the dims of input_emb, word_emb and atom_proj, and that every tensor
+    is finite (NumericError)."""
 
     input_emb: np.ndarray           # (n_in, d_enc), frozen
-    tensors: dict[str, Tensor]      # trainable, keyed by param_shapes
+    tensors: dict[str, np.ndarray]  # trainable, keyed by param_shapes
 
     def __post_init__(self):
+        self.input_emb = np.asarray(self.input_emb, dtype=np.float64)
+        self.tensors = {name: np.asarray(t, dtype=np.float64)
+                        for name, t in self.tensors.items()}
         shapes = {INPUT_EMB_NAME: self.input_emb.shape}
         shapes.update((name, t.shape) for name, t in self.tensors.items())
         for name in sorted(shapes.keys() ^ param_shapes(0, 0, 0, 0, 0).keys()):
@@ -96,8 +100,9 @@ class QGenParams:
             if shapes[name] != shape:
                 raise DimensionError(f"tensor {name!r} has shape {shapes[name]}, "
                                      f"expected {shape}")
-        if not np.isfinite(self.input_emb).all():
-            raise NumericError(f"non-finite values in tensor {INPUT_EMB_NAME!r}")
+        for name, t in [(INPUT_EMB_NAME, self.input_emb), *self.tensors.items()]:
+            if not np.isfinite(t).all():
+                raise NumericError(f"non-finite values in tensor {name!r}")
 
     @classmethod
     def init(cls, n_in: int, n_out: int, d_enc: int, d_dec: int, hidden: int,
@@ -119,20 +124,17 @@ class QGenParams:
                                  f"{np.shape(input_emb)}, expected "
                                  f"{shapes[INPUT_EMB_NAME]}")
         tensors = {
-            name: Tensor(rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape), name=name)
+            name: rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape)
             for name, shape in shapes.items() if name != INPUT_EMB_NAME
         }
-        return cls(input_emb=np.asarray(input_emb, dtype=np.float64), tensors=tensors)
-
-    def trainable(self) -> dict[str, Tensor]:
-        return dict(self.tensors)
+        return cls(input_emb=input_emb, tensors=tensors)
 
     def copy_values(self) -> dict[str, np.ndarray]:
-        return {name: t.value.copy() for name, t in self.tensors.items()}
+        return {name: t.copy() for name, t in self.tensors.items()}
 
     def load_values(self, values: dict[str, np.ndarray]) -> None:
         for name, t in self.tensors.items():
-            np.copyto(t.value, values[name])
+            np.copyto(t, values[name])
 
 
 def atom_indices(fact: Fact, input_vocab: Vocabulary) -> tuple[int, int, int]:
@@ -153,10 +155,10 @@ def encode(fact: Fact, params: QGenParams, input_vocab: Vocabulary):
     pre-activation that overflows raises NumericError naming the fact."""
     t = params.tensors
     with np.errstate(over="ignore", invalid="ignore"):
-        encs = [t["atom_proj"].value @ params.input_emb[idx]
+        encs = [t["atom_proj"] @ params.input_emb[idx]
                 for idx in atom_indices(fact, input_vocab)]
         enc_all = np.concatenate(encs)
-        pre = t["init_proj"].value @ enc_all
+        pre = t["init_proj"] @ enc_all
     if not (np.isfinite(enc_all).all() and np.isfinite(pre).all()):
         raise NumericError(f"non-finite values in the fact encoding of {fact.atoms()!r}")
     return (*encs, enc_all), tanh_values(pre)
@@ -164,8 +166,8 @@ def encode(fact: Fact, params: QGenParams, input_vocab: Vocabulary):
 
 def sequence_log_likelihood(fact: Fact, question_tokens, params: QGenParams,
                             input_vocab: Vocabulary,
-                            output_vocab: Vocabulary) -> Tensor:
-    """Sum of per-token log probabilities as a 0-d tensor (always <= 0).
+                            output_vocab: Vocabulary) -> np.ndarray:
+    """Sum of per-token log probabilities as a 0-d array (always <= 0).
 
     Out-of-vocabulary tokens map to <unk>.  The first decoder input is
     <bos>; the question must end with '?'.  On an open tape the whole
@@ -188,14 +190,13 @@ def sequence_log_likelihood(fact: Fact, question_tokens, params: QGenParams,
 
     encodings, h0 = encode(fact, params, input_vocab)
     atom_rows = params.input_emb[list(atom_indices(fact, input_vocab))]
-    weights = [t[name] for name in kernels.STEP_WEIGHTS]
-    step_weights = {name: w.value for name, w in zip(kernels.STEP_WEIGHTS, weights)}
+    step_weights = {name: t[name] for name in kernels.STEP_WEIGHTS}
     h = h0
     steps = []
     log_probs = []
     total = None
     for w_prev, target in zip(inputs, targets):
-        step = kernels.decode_step(word_emb.value[w_prev], h, *encodings,
+        step = kernels.decode_step(word_emb[w_prev], h, *encodings,
                                    *step_weights.values())
         logp = log_softmax_values(step.logits)
         total = logp[target] if total is None else total + logp[target]
@@ -205,11 +206,11 @@ def sequence_log_likelihood(fact: Fact, question_tokens, params: QGenParams,
 
     def backward(g):
         return _backprop_through_time(g, steps, log_probs, inputs, targets, h0,
-                                      encodings, atom_rows, t["init_proj"].value,
-                                      word_emb.value, step_weights)
+                                      encodings, atom_rows, t["init_proj"],
+                                      word_emb, step_weights)
 
-    return custom_op(total, (t["atom_proj"], t["init_proj"], word_emb, *weights),
-                     backward)
+    return custom_op(total, (t["atom_proj"], t["init_proj"], word_emb,
+                             *step_weights.values()), backward)
 
 
 def _backprop_through_time(g, steps, log_probs, inputs, targets, h0,
@@ -314,7 +315,7 @@ def save_checkpoint(path, params: QGenParams, mode: str,
         fh.write(bytes.fromhex(input_vocab.content_hash()))
         fh.write(bytes.fromhex(output_vocab.content_hash()))
         named = [(INPUT_EMB_NAME, params.input_emb)]
-        named += sorted((name, t.value) for name, t in params.tensors.items())
+        named += sorted(params.tensors.items())
         fh.write(struct.pack("<I", len(named)))
         for name, arr in named:
             name_b = name.encode("utf-8")
@@ -386,8 +387,7 @@ def load_checkpoint(path, input_vocab: Vocabulary,
         raise ParseError(f"{path}: missing tensor {INPUT_EMB_NAME!r}")
     try:
         params = QGenParams(arrays[INPUT_EMB_NAME], {
-            name: Tensor(arr, name=name) for name, arr in arrays.items()
-            if name != INPUT_EMB_NAME})
+            name: arr for name, arr in arrays.items() if name != INPUT_EMB_NAME})
     except (DimensionError, NumericError) as exc:
         raise ParseError(f"{path}: {exc}") from None
     # out_proj has as many rows as word_emb: QGenParams checked that

@@ -155,12 +155,15 @@ def placeholderize(
     """Replace the subject span of a question with a placeholder token.
 
     Raises NoSubjectSpanError when the best span scores below threshold;
-    callers drop (and count) such pairs.
+    callers drop (and count) such pairs.  A threshold outside [0, 1]
+    raises ContractError.
     """
     if mode not in ("sp", "mp"):
         raise ContractError(f"mode must be 'sp' or 'mp', got {mode!r}")
     if mode == "mp" and category_map is None:
         raise ContractError("mp mode needs a category map")
+    if not 0 <= threshold <= 1:
+        raise ContractError(f"threshold must be in [0, 1], got {threshold}")
     subject = subject_text(pair.fact, names)
     start, end, score = find_subject_span(list(pair.question_tokens), subject)
     if score < threshold:

@@ -2,10 +2,12 @@
 early stopping with patience on the validation question-match score.
 
 Each example's log-likelihood is one fused tape node
-(model.sequence_log_likelihood), differentiated by one backprop() call.
-The gradients are summed over the batch in fixed example order and negated
-once, so a run is deterministic for a given seed.  The batch loss is the
-summed token NLL divided by the batch token count, i.e. mean NLL per token.
+(model.sequence_log_likelihood) whose parents are the weight arrays in
+QGenParams.tensors, differentiated by one backprop() call.  The gradients
+are summed over the batch in fixed example order and negated once, so a
+run is deterministic for a given seed.  The batch loss is the summed token
+NLL divided by the batch token count, i.e. mean NLL per token.  Adam
+updates the weight arrays in place.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, backprop
+from .autodiff import Tape, backprop
 from .data import QAPair, Vocabulary
 from .errors import ContractError, NumericError, TrainingDivergedError
+from .evaluation import validation_scorer
 from .model import QGenParams, sequence_log_likelihood
 from .placeholders import PlaceholderizedQuestion
 
@@ -57,7 +60,7 @@ class AdamState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
+def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: AdamState) -> None:
     """Standard Adam update with bias correction, in place on the params."""
     state.t += 1
@@ -65,15 +68,15 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
     bias2 = 1.0 - ADAM_BETA2 ** state.t
     for name, p in params.items():
         g = grads[name]
-        if g.shape != p.value.shape:
+        if g.shape != p.shape:
             raise ContractError(f"gradient shape mismatch for {name}")
-        m = state.m.setdefault(name, np.zeros_like(p.value))
-        v = state.v.setdefault(name, np.zeros_like(p.value))
+        m = state.m.setdefault(name, np.zeros_like(p))
+        v = state.v.setdefault(name, np.zeros_like(p))
         m *= ADAM_BETA1
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
         v += (1.0 - ADAM_BETA2) * (g * g)
-        p.value -= state.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+        p -= state.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
 
 
 @dataclass
@@ -133,7 +136,7 @@ class TrainResult:
 def _example_gradients(fact, tokens, params: QGenParams, input_vocab, output_vocab):
     """Per-example log-likelihood and its gradients."""
     with Tape() as tape:
-        tape.watch(params.trainable())
+        tape.watch(params.tensors)
         ll = sequence_log_likelihood(fact, tokens, params, input_vocab, output_vocab)
     return ll.item(), backprop(tape, ll)
 
@@ -149,20 +152,17 @@ def train(
 ) -> TrainResult:
     """Minimize token NLL; keep the checkpoint with the best validation score.
 
-    score_fn(params) -> float scores the validation set (by default the
-    stem-match metric over greedily decoded questions, see evaluation
-    helpers in decoding/metrics).  Raises TrainingDivergedError on NaN
-    loss, with the best checkpoint attached.
+    score_fn(params) -> float scores the validation set (by default
+    evaluation.validation_scorer: mean METEOR-lite of greedily decoded
+    questions against their references).  Raises TrainingDivergedError on
+    NaN loss, with the best checkpoint attached.
     """
     if not train_pairs:
         raise ContractError("train: empty training set")
     if score_fn is None:
-        from .evaluation import validation_scorer
-
         score_fn = validation_scorer(valid_pairs, input_vocab, output_vocab)
 
     rng = np.random.default_rng(config.seed)
-    trainable = params.trainable()
     adam = AdamState(learning_rate=config.learning_rate)
     stopper = EarlyStopState(patience=config.patience)
     steps_per_epoch = max(1, -(-len(train_pairs) // config.batch_size))
@@ -212,7 +212,7 @@ def train(
                 # the NLL's gradient: negation is exact, so negating the
                 # sum equals summing the negated gradients bit for bit
                 scaled = {name: g / -total_tokens for name, g in summed.items()}
-                adam_step(trainable, clip_gradients(scaled, config.clip_norm),
+                adam_step(params.tensors, clip_gradients(scaled, config.clip_norm),
                           adam)
             except (NumericError, TrainingDivergedError) as exc:
                 params.load_values(best_values)

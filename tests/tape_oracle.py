@@ -1,10 +1,11 @@
 """The gradient oracle: the decoder written with primitive tape ops.
 
-Every op records one node through autodiff.custom_op, with a backward
-derived independently of the hand-written one in
-model.sequence_log_likelihood.  tape_sequence_log_likelihood chains them
-into the same loss, about 48 nodes per token plus 6 for the fact encoding;
-the tests check the program's loss, gradients and decoder step against it.
+Every op takes and returns float64 arrays and records one node through
+autodiff.custom_op, with a backward derived independently of the
+hand-written one in model.sequence_log_likelihood.
+tape_sequence_log_likelihood chains them into the same loss, about 48
+nodes per token plus 6 for the fact encoding; the tests check the
+program's loss, gradients and decoder step against it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 from fact2question.autodiff import (
     ONE_BELOW,
     TINY,
-    Tensor,
     custom_op,
     log_softmax_values,
     sigmoid_values,
@@ -40,111 +40,109 @@ def softmax_values(x):
 # ---------------------------------------------------------------------------
 
 
-def matvec(w: Tensor, x: Tensor) -> Tensor:
+def matvec(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """w (m, n) @ x (n,) -> (m,)."""
-    if w.value.ndim != 2 or x.value.ndim != 1 or w.shape[1] != x.shape[0]:
+    if w.ndim != 2 or x.ndim != 1 or w.shape[1] != x.shape[0]:
         raise DimensionError(f"matvec: incompatible shapes {w.shape} and {x.shape}")
-    return custom_op(w.value @ x.value, (w, x),
-                     lambda g: (np.outer(g, x.value), w.value.T @ g))
+    return custom_op(w @ x, (w, x), lambda g: (np.outer(g, x), w.T @ g))
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
+def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise sum; shapes must match exactly (no broadcasting)."""
     if a.shape != b.shape:
         raise DimensionError(f"add: shape mismatch {a.shape} vs {b.shape}")
-    return custom_op(a.value + b.value, (a, b), lambda g: (g, g))
+    return custom_op(a + b, (a, b), lambda g: (g, g))
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
+def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise (Hadamard) product; shapes must match exactly."""
     if a.shape != b.shape:
         raise DimensionError(f"mul: shape mismatch {a.shape} vs {b.shape}")
-    return custom_op(a.value * b.value, (a, b),
-                     lambda g: (g * b.value, g * a.value))
+    return custom_op(a * b, (a, b), lambda g: (g * b, g * a))
 
 
-def scale(s: Tensor, v: Tensor) -> Tensor:
+def scale(s: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Scalar node s times tensor v."""
-    if s.value.ndim != 0:
+    if s.ndim != 0:
         raise DimensionError(f"scale: scalar expected, got shape {s.shape}")
-    return custom_op(s.value * v.value, (s, v),
-                     lambda g: (np.asarray(np.sum(g * v.value)), s.value * g))
+    return custom_op(s * v, (s, v),
+                     lambda g: (np.asarray(np.sum(g * v)), s * g))
 
 
-def one_minus(x: Tensor) -> Tensor:
+def one_minus(x: np.ndarray) -> np.ndarray:
     """1 - x elementwise (the update-gate complement)."""
-    return custom_op(1.0 - x.value, (x,), lambda g: (-g,))
+    return custom_op(1.0 - x, (x,), lambda g: (-g,))
 
 
-def sigmoid(x: Tensor) -> Tensor:
+def sigmoid(x: np.ndarray) -> np.ndarray:
     """Elementwise logistic; outputs strictly inside (0, 1), never NaN."""
-    out = sigmoid_values(x.value)
+    out = sigmoid_values(x)
     return custom_op(out, (x,), lambda g: (g * out * (1.0 - out),))
 
 
-def tanh_act(x: Tensor) -> Tensor:
+def tanh_act(x: np.ndarray) -> np.ndarray:
     """Elementwise tanh; outputs strictly inside (-1, 1)."""
-    out = tanh_values(x.value)
+    out = tanh_values(x)
     return custom_op(out, (x,), lambda g: (g * (1.0 - out * out),))
 
 
-def softmax(x: Tensor) -> Tensor:
+def softmax(x: np.ndarray) -> np.ndarray:
     """Softmax over a 1-d tensor, computed with max-subtraction."""
-    if x.value.ndim != 1 or x.shape[0] < 1:
+    if x.ndim != 1 or x.shape[0] < 1:
         raise ContractError(f"softmax: non-empty vector expected, got shape {x.shape}")
-    p = softmax_values(x.value)
+    p = softmax_values(x)
     return custom_op(p, (x,), lambda g: (p * (g - np.dot(g, p)),))
 
 
-def log_softmax(x: Tensor) -> Tensor:
+def log_softmax(x: np.ndarray) -> np.ndarray:
     """Log-softmax over a 1-d tensor; the stable path for log-likelihoods."""
-    if x.value.ndim != 1 or x.shape[0] < 1:
+    if x.ndim != 1 or x.shape[0] < 1:
         raise ContractError(f"log_softmax: non-empty vector expected, got shape {x.shape}")
-    out = log_softmax_values(x.value)
+    out = log_softmax_values(x)
     return custom_op(out, (x,), lambda g: (g - np.exp(out) * np.sum(g),))
 
 
-def concat(parts: Sequence[Tensor]) -> Tensor:
+def concat(parts: Sequence[np.ndarray]) -> np.ndarray:
     """Concatenate 1-d tensors."""
     parts = tuple(parts)
-    if not parts or any(p.value.ndim != 1 for p in parts):
+    if not parts or any(p.ndim != 1 for p in parts):
         raise DimensionError("concat: one or more 1-d tensors expected")
     offsets = np.cumsum([0] + [p.shape[0] for p in parts])
 
     def backward(g):
         return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(parts)))
 
-    return custom_op(np.concatenate([p.value for p in parts]), parts, backward)
+    return custom_op(np.concatenate(parts), parts, backward)
 
 
-def pick(x: Tensor, i: int) -> Tensor:
+def pick(x: np.ndarray, i: int) -> np.ndarray:
     """Select one element of a 1-d tensor as a 0-d scalar node."""
-    if x.value.ndim != 1:
+    if x.ndim != 1:
         raise DimensionError(f"pick: vector expected, got shape {x.shape}")
     if not 0 <= i < x.shape[0]:
         raise DimensionError(f"pick: index {i} out of range for shape {x.shape}")
 
     def backward(g):
-        gx = np.zeros_like(x.value)
+        gx = np.zeros_like(x)
         gx[i] = g
         return (gx,)
 
-    return custom_op(x.value[i], (x,), backward)
+    return custom_op(x[i], (x,), backward)
 
 
-def take_row(m: Tensor, i: int) -> Tensor:
+def take_row(m: np.ndarray, i: int) -> np.ndarray:
     """Select row i of a 2-d tensor (embedding lookup); grads scatter back."""
-    if m.value.ndim != 2:
+    if m.ndim != 2:
         raise DimensionError(f"take_row: matrix expected, got shape {m.shape}")
     if not 0 <= i < m.shape[0]:
         raise DimensionError(f"take_row: row {i} out of range for shape {m.shape}")
 
     def backward(g):
-        gm = np.zeros_like(m.value)
+        gm = np.zeros_like(m)
         gm[i] = g
         return (gm,)
 
-    return custom_op(m.value[i].copy(), (m,), backward)
+    return custom_op(m[i], (m,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -156,10 +154,10 @@ def take_row(m: Tensor, i: int) -> Tensor:
 class FactEncoding:
     """Projected encodings of the three atoms plus their concatenation."""
 
-    enc_s: Tensor
-    enc_r: Tensor
-    enc_o: Tensor
-    enc_all: Tensor
+    enc_s: np.ndarray
+    enc_r: np.ndarray
+    enc_o: np.ndarray
+    enc_all: np.ndarray
 
 
 def encode_fact(fact, params, input_vocab) -> FactEncoding:
@@ -167,17 +165,18 @@ def encode_fact(fact, params, input_vocab) -> FactEncoding:
     proj = params.tensors["atom_proj"]
     encs = []
     for idx in atom_indices(fact, input_vocab):
-        frozen = Tensor(params.input_emb[idx])  # constant: no grad to the table
+        frozen = params.input_emb[idx]  # never watched: no grad to the table
         encs.append(matvec(proj, frozen))
     return FactEncoding(encs[0], encs[1], encs[2], concat(encs))
 
 
-def init_state(enc: FactEncoding, params) -> Tensor:
+def init_state(enc: FactEncoding, params) -> np.ndarray:
     """h_0 from a one-layer tanh network over the fact encoding."""
     return tanh_act(matvec(params.tensors["init_proj"], enc.enc_all))
 
 
-def attend(enc: FactEncoding, h_prev: Tensor, params) -> tuple[Tensor, Tensor]:
+def attend(enc: FactEncoding, h_prev: np.ndarray,
+           params) -> tuple[np.ndarray, np.ndarray]:
     """Context vector and the three attention scalars.
 
     The scalars come from a one-layer tanh network over [encoding; state]
@@ -194,7 +193,8 @@ def attend(enc: FactEncoding, h_prev: Tensor, params) -> tuple[Tensor, Tensor]:
     return c, alpha
 
 
-def decoder_step(w_prev: int, h_prev: Tensor, c: Tensor, params) -> Tensor:
+def decoder_step(w_prev: int, h_prev: np.ndarray, c: np.ndarray,
+                 params) -> np.ndarray:
     """One gated recurrent update.
 
     The update gate multiplies the old state and its complement the
@@ -211,7 +211,8 @@ def decoder_step(w_prev: int, h_prev: Tensor, c: Tensor, params) -> Tensor:
     return add(mul(g_u, h_prev), mul(one_minus(g_u), cand))
 
 
-def output_logits(h: Tensor, w_prev: int, c: Tensor, params) -> Tensor:
+def output_logits(h: np.ndarray, w_prev: int, c: np.ndarray,
+                  params) -> np.ndarray:
     t = params.tensors
     e_w = take_row(t["word_emb"], w_prev)
     pre = tanh_act(add(add(matvec(t["out_state"], h), matvec(t["out_emb"], e_w)),
@@ -219,7 +220,8 @@ def output_logits(h: Tensor, w_prev: int, c: Tensor, params) -> Tensor:
     return matvec(t["out_proj"], pre)
 
 
-def output_distribution(h: Tensor, w_prev: int, c: Tensor, params) -> Tensor:
+def output_distribution(h: np.ndarray, w_prev: int, c: np.ndarray,
+                        params) -> np.ndarray:
     """Next-token probabilities; sums to 1, no component exactly 0 or 1."""
     return softmax(output_logits(h, w_prev, c, params))
 

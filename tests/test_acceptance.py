@@ -42,14 +42,14 @@ def test_criterion_1_gradient_correctness():
     params = QGenParams.init(n_in=4, n_out=8, d_enc=4, d_dec=4, hidden=6,
                              seed=7, input_emb=rng.normal(size=(4, 4)))
     for tensor in params.tensors.values():
-        tensor.value[:] = rng.normal(scale=0.4, size=tensor.value.shape)
+        tensor[:] = rng.normal(scale=0.4, size=tensor.shape)
     fact = Fact("s0", "r0", "o0")
     tokens = ["w3", "w4", "w5", "w6", "?"]
 
     err = finite_diff_check(
         lambda: sequence_log_likelihood(fact, tokens, params, input_vocab,
                                         output_vocab),
-        params.trainable(), eps=1e-5)
+        params.tensors, eps=1e-5)
     elapsed = time.perf_counter() - started
     print(f"  max relative error {err:.3e}, {elapsed:.1f}s")
     _report(1, "gradients vs central finite differences <= 1e-4",
@@ -242,12 +242,12 @@ def test_criterion_8_attention_invariant():
                                  seed=draw,
                                  input_emb=rng.normal(size=(4, 3)))
         for tensor in params.tensors.values():
-            tensor.value[:] = rng.normal(scale=2.0, size=tensor.value.shape)
+            tensor[:] = rng.normal(scale=2.0, size=tensor.shape)
         (enc_s, enc_r, enc_o, enc_all), _ = encode(fact, params, input_vocab)
         h_prev = rng.normal(size=4)
         step = kernels.decode_step(
-            params.tensors["word_emb"].value[1], h_prev, enc_s, enc_r, enc_o,
-            enc_all, *(params.tensors[name].value for name in kernels.STEP_WEIGHTS))
+            params.tensors["word_emb"][1], h_prev, enc_s, enc_r, enc_o,
+            enc_all, *(params.tensors[name] for name in kernels.STEP_WEIGHTS))
         a = step.alpha
         ok &= bool(np.all((a > 0.0) & (a < 1.0)))
         weighted = a[0] * enc_s + a[1] * enc_r + a[2] * enc_o

@@ -3,7 +3,6 @@ import pytest
 
 from conftest import make_toy_pairs
 from fact2question import cli, evaluation
-from fact2question.autodiff import Tensor
 from fact2question.baseline import sample_question
 from fact2question.cli import run
 from fact2question.data import Vocabulary
@@ -62,6 +61,15 @@ def test_gradcheck_passes_and_reports(capsys):
     assert "max relative error" in out
     err = float(out.split(":")[1].split()[0])
     assert err <= 1e-4
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "0"])
+def test_gradcheck_bad_eps_exits_two(capsys, eps):
+    assert run(["gradcheck", "--eps", eps]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: finite_diff_check: eps must be positive "
+                            f"and finite, got {float(eps)}\n")
+    assert captured.out == ""
 
 
 def test_evaluate_self_comparison_reports_bleu_100(tmp_path, capsys):
@@ -287,7 +295,10 @@ def test_train_qgen_negative_max_steps_exits_two(toy_files, capsys):
     ("--clip-norm", "0", "clip norm must be positive, got 0.0"),
     ("--hidden", "0", "hidden must be >= 1, got 0"),
     ("--word-dim", "-1", "d_dec must be >= 1, got -1"),
-], ids=["learning-rate", "clip-norm", "hidden", "word-dim"])
+    ("--threshold", "nan", "threshold must be in [0, 1], got nan"),
+    ("--threshold", "1.5", "threshold must be in [0, 1], got 1.5"),
+], ids=["learning-rate", "clip-norm", "hidden", "word-dim", "threshold-nan",
+        "threshold-above-one"])
 def test_train_qgen_bad_settings_exit_two(toy_files, capsys, flag, value, message):
     d = toy_files["dir"]
     ent, rel = d / "e5.txt", d / "r5.txt"
@@ -317,6 +328,17 @@ def test_train_transe_bad_settings_exit_two(toy_files, capsys, flag, value, mess
                 "--out-entities", str(ent), "--out-relations", str(rel)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not ent.exists() and not rel.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "1.5", "-0.1"])
+def test_baseline_bad_threshold_exits_two(toy_files, capsys, value):
+    out = toy_files["dir"] / "baseline.tsv"
+    assert run(["baseline", "--train", str(toy_files["train"]),
+                "--facts", str(toy_files["facts"]), "--threshold", value,
+                "--output", str(out)]) == 2
+    message = f"threshold must be in [0, 1], got {float(value)}"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_train_qgen_forwards_max_len_to_validation(toy_files, monkeypatch):
@@ -421,7 +443,7 @@ def test_generate_rejects_misshaped_checkpoint(tmp_path, capsys, name, shape):
     if name == INPUT_EMB_NAME:
         params.input_emb = np.zeros(shape)
     else:
-        params.tensors[name] = Tensor(np.zeros(shape), name=name)
+        params.tensors[name] = np.zeros(shape)
     paths = {key: tmp_path / f"{key}.tsv" for key in ("in", "out", "facts")}
     checkpoint = tmp_path / "checkpoint.bin"
     input_vocab.dump(paths["in"])

@@ -27,7 +27,7 @@ def _session(output_tokens, seed=0, zero=False, max_len=8):
                              input_emb=rng.normal(size=(len(INPUT_VOCAB), 3)))
     if zero:
         for t in params.tensors.values():
-            t.value[:] = 0.0
+            t[:] = 0.0
     return GenerationSession(params, INPUT_VOCAB, output_vocab, max_len=max_len), \
         params, output_vocab
 
@@ -69,7 +69,7 @@ def test_greedy_matches_tape_forward():
         c, _ = attend(enc, h, params)
         h = decoder_step(w_prev, h, c, params)
         probs = output_distribution(h, w_prev, c, params)
-        idx = int(np.argmax(probs.value))
+        idx = int(np.argmax(probs))
         replay.append(idx)
         if idx == vocab.index("?"):
             break
@@ -102,7 +102,7 @@ def _brute_force(session, params, output_vocab, fact, input_vocab=INPUT_VOCAB):
         h_new = decoder_step(w_prev, h, c, params)
         probs = output_distribution(h_new, w_prev, c, params)
         for v in range(len(output_vocab)):
-            lp = logprob + math.log(probs.value[v])
+            lp = logprob + math.log(probs[v])
             if v == qmark:
                 results.append((prefix + (v,), lp))
             else:

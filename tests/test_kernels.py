@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from fact2question import kernels
-from fact2question.autodiff import Tensor
 from fact2question.data import Fact, Vocabulary
 from fact2question.model import QGenParams
 from tape_oracle import (
@@ -96,24 +95,23 @@ def test_decode_step_matches_tape_forward(seed):
     # scale the weights up so the gates and activations leave their
     # near-linear range
     for t in params.tensors.values():
-        t.value *= 10.0
+        t *= 10.0
     t = params.tensors
     enc = encode_fact(fact, params, input_vocab)
     h_tape = init_state(enc, params)
-    h_kernel = h_tape.value
-    encodings = (enc.enc_s.value, enc.enc_r.value, enc.enc_o.value,
-                 enc.enc_all.value)
-    weights = tuple(t[name].value for name in kernels.STEP_WEIGHTS)
+    h_kernel = h_tape
+    encodings = (enc.enc_s, enc.enc_r, enc.enc_o, enc.enc_all)
+    weights = tuple(t[name] for name in kernels.STEP_WEIGHTS)
     for w_prev in (1, 4, 0, 8):
         c, alpha_tape = attend(enc, h_tape, params)
         h_tape = decoder_step(w_prev, h_tape, c, params)
         logits_tape = output_logits(h_tape, w_prev, c, params)
         step = kernels.decode_step(
-            t["word_emb"].value[w_prev], h_kernel, *encodings, *weights)
+            t["word_emb"][w_prev], h_kernel, *encodings, *weights)
         h_kernel = step.h
-        np.testing.assert_allclose(h_kernel, h_tape.value, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(step.logits, logits_tape.value, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(step.alpha, alpha_tape.value, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(h_kernel, h_tape, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(step.logits, logits_tape, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(step.alpha, alpha_tape, rtol=0, atol=1e-12)
         # continue both recurrences from the kernel's state so every step
         # is checked on the same input
-        h_tape = Tensor(h_kernel)
+        h_tape = h_kernel

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from conftest import prepare_toy
-from fact2question.autodiff import Tensor
 from fact2question.decoding import GenerationSession
 from fact2question.errors import ContractError, TrainingDivergedError
 from fact2question.model import sequence_log_likelihood
@@ -53,34 +52,34 @@ def test_clip_rejects_bad_max_norm():
 
 
 def test_adam_zero_gradient_zero_moments_is_noop():
-    params = {"w": Tensor(np.array([1.0, -2.0]))}
+    params = {"w": np.array([1.0, -2.0])}
     state = AdamState()
     adam_step(params, {"w": np.zeros(2)}, state)
-    assert np.array_equal(params["w"].value, [1.0, -2.0])
+    assert np.array_equal(params["w"], [1.0, -2.0])
     assert state.t == 1
 
 
 def test_adam_first_step_magnitude_is_learning_rate():
-    params = {"w": Tensor(np.array([0.0, 0.0]))}
+    params = {"w": np.array([0.0, 0.0])}
     state = AdamState(learning_rate=0.01)
     adam_step(params, {"w": np.array([0.3, -7.0])}, state)
     # bias-corrected first step is lr * g/|g| per coordinate (up to eps)
-    assert np.allclose(params["w"].value, [-0.01, 0.01], atol=1e-6)
+    assert np.allclose(params["w"], [-0.01, 0.01], atol=1e-6)
 
 
 def test_adam_deterministic():
     def run():
         rng = np.random.default_rng(5)
-        params = {"w": Tensor(np.zeros(4))}
+        params = {"w": np.zeros(4)}
         state = AdamState()
         for _ in range(10):
             adam_step(params, {"w": rng.normal(size=4)}, state)
-        return params["w"].value
+        return params["w"]
     assert np.array_equal(run(), run())
 
 
 def test_adam_rejects_shape_mismatch():
-    params = {"w": Tensor(np.zeros(2))}
+    params = {"w": np.zeros(2)}
     with pytest.raises(ContractError):
         adam_step(params, {"w": np.zeros(3)}, AdamState())
 
@@ -137,7 +136,7 @@ def test_train_zero_lr_keeps_parameters(toy_prepared):
                          eval_every=10, seed=0)
     result = train(prepared, prepared, params, config, input_vocab, output_vocab)
     for name, tensor in result.params.tensors.items():
-        assert np.array_equal(tensor.value, before[name])
+        assert np.array_equal(tensor, before[name])
 
 
 def test_train_is_deterministic_for_fixed_seed():
@@ -183,7 +182,7 @@ def test_train_returns_best_checkpoint_and_log(toy_prepared):
     assert result.best_score == 3.0
     # the returned checkpoint is the one scored 3.0 (second evaluation)
     for name, tensor in result.params.tensors.items():
-        assert np.array_equal(tensor.value, snapshots[1][name])
+        assert np.array_equal(tensor, snapshots[1][name])
     assert len(result.log_lines) == len(snapshots)
     for line in result.log_lines:
         step, nll, score, wall = line.split("\t")
@@ -197,7 +196,7 @@ def test_train_divergence_aborts_with_checkpoint():
     config = TrainConfig(max_steps=10, patience=10, eval_every=1, seed=0)
 
     def sabotage(p):
-        p.tensors["out_proj"].value[:] = np.nan
+        p.tensors["out_proj"][:] = np.nan
         return 0.0
 
     with pytest.raises(TrainingDivergedError) as exc_info:
