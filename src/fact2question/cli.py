@@ -263,8 +263,6 @@ def _cmd_train_qgen(cfg) -> int:
         learning_rate=cfg["learning_rate"], clip_norm=cfg["clip_norm"],
         batch_size=cfg["batch_size"], patience=cfg["patience"],
         eval_every=cfg["eval_every"], max_steps=cfg["max_steps"], seed=cfg["seed"])
-    out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     names = load_names(cfg["names"]) if cfg["names"] else None
     train_raw = load_simplequestions(cfg["train"])
     valid_raw = load_simplequestions(cfg["valid"])
@@ -305,6 +303,9 @@ def _cmd_train_qgen(cfg) -> int:
         input_emb=_load_input_table(input_vocab, transe))
 
     score_fn = validation_scorer(valid_pairs, input_vocab, output_vocab, cfg["max_len"])
+    # made only now, so a run rejected above leaves no directory behind
+    out_dir = Path(cfg["out_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         result = train(train_pairs, valid_pairs, params, config,
                        input_vocab, output_vocab, score_fn)

@@ -3,13 +3,15 @@ name; a rename that would stop it fails here first.  Of the benchmark's
 code, only module imports and run.machine_facts() execute here."""
 
 import importlib.util
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from conftest import prepare_toy
-from fact2question import training
+from fact2question import decoding, kernels, training
 from fact2question.autodiff import Tape
+from reference_beam import reference_beam_indices
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -61,3 +63,36 @@ def test_train_step_differentiates_each_example_once(monkeypatch):
     assert seen_tokens == [list(prepared[i][1].tokens) for i in order[:4]]
     assert len(tapes) == 4
     assert all(isinstance(tape, Tape) for tape in tapes)
+
+
+def test_beam_steps_each_live_row_once_through_module_attributes(monkeypatch):
+    # perfbench's decoding.beam.self_s_per_fact subtracts the
+    # kernels.decode_step and decoding.log_softmax_values spans from
+    # beam_indices, and kernels.decode_step.calls_per_fact counts the
+    # first: beam_indices must reach both through those attributes, once
+    # per live row per step, as the reference beam does
+    prepared, input_vocab, output_vocab, params = prepare_toy(
+        n_pairs=5, hidden=8, d_enc=4, d_dec=4, seed=0)
+    session = decoding.GenerationSession(params, input_vocab, output_vocab, max_len=6)
+    calls = {"decode_step": 0, "log_softmax_values": 0}
+    decode_step, log_softmax_values = kernels.decode_step, decoding.log_softmax_values
+
+    def counting_decode_step(*args):
+        calls["decode_step"] += 1
+        return decode_step(*args)
+
+    def counting_log_softmax_values(logits):
+        calls["log_softmax_values"] += 1
+        return log_softmax_values(logits)
+
+    monkeypatch.setattr(kernels, "decode_step", counting_decode_step)
+    monkeypatch.setattr(decoding, "log_softmax_values", counting_log_softmax_values)
+    fact = prepared[0][1].fact
+    for width in (1, 3, 5):
+        counts = []
+        for beam in (session.beam_indices, partial(reference_beam_indices, session)):
+            calls.update(decode_step=0, log_softmax_values=0)
+            beam(fact, width)
+            counts.append(dict(calls))
+        assert counts[0] == counts[1]
+        assert counts[0]["decode_step"] == counts[0]["log_softmax_values"] > 0

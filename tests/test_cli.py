@@ -288,6 +288,7 @@ def test_train_qgen_negative_max_steps_exits_two(toy_files, capsys):
                 "--hidden", "4", "--word-dim", "4", "--max-steps", "-1",
                 "--out-dir", str(d / "model4")]) == 2
     assert "max_steps" in capsys.readouterr().err
+    assert not (d / "model4").exists()
 
 
 @pytest.mark.parametrize("flag, value, message", [
@@ -312,7 +313,7 @@ def test_train_qgen_bad_settings_exit_two(toy_files, capsys, flag, value, messag
                 "--hidden", "4", "--word-dim", "4", flag, value,
                 "--out-dir", str(out_dir)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert not (out_dir / "checkpoint.bin").exists()
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("flag, value, message", [
@@ -459,4 +460,26 @@ def test_generate_rejects_misshaped_checkpoint(tmp_path, capsys, name, shape):
     assert rc == 2
     assert f"error: {checkpoint}: " in err and f"tensor {name!r}" in err
     assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("width", ["0", "-3"])
+@pytest.mark.parametrize("facts", ["", "s0\tr0\to0\n"], ids=["empty", "one-fact"])
+def test_generate_bad_width_exits_two_without_output(tmp_path, capsys, width, facts):
+    input_vocab = Vocabulary(["<unk>", "s0", "r0", "o0"])
+    output_vocab = Vocabulary(["<unk>", "<bos>", "?", "w3"])
+    params = QGenParams.init(n_in=4, n_out=4, d_enc=3, d_dec=3, hidden=5, seed=0)
+    paths = {key: tmp_path / f"{key}.tsv" for key in ("in", "out", "facts")}
+    checkpoint = tmp_path / "checkpoint.bin"
+    input_vocab.dump(paths["in"])
+    output_vocab.dump(paths["out"])
+    save_checkpoint(checkpoint, params, "sp", input_vocab, output_vocab)
+    paths["facts"].write_text(facts, encoding="utf-8")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    rc = run(["generate", "--facts", str(paths["facts"]),
+              "--checkpoint", str(checkpoint), "--input-vocab", str(paths["in"]),
+              "--output-vocab", str(paths["out"]), "--width", width,
+              "--output", str(tmp_path / "corpus.tsv")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: beam width must be >= 1, got {width}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == before

@@ -1,12 +1,15 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
+from fact2question import decoding, kernels
 from fact2question.data import BOS, Fact, Vocabulary
 from fact2question.decoding import GenerationSession, generate_corpus
 from fact2question.errors import ContractError, ParseError
 from fact2question.model import QGenParams
+from reference_beam import reference_beam_indices
 from tape_oracle import (
     attend,
     decoder_step,
@@ -135,7 +138,7 @@ def test_exhaustive_beam_matches_brute_force(seed):
     assert [b.tokens for b in beam] == [seq for seq, _ in oracle[:len(beam)]]
     for hyp, (_, score) in zip(beam, oracle):
         assert hyp.log_prob == pytest.approx(score, abs=1e-10)
-        assert hyp.finished
+        assert hyp.tokens[-1] == vocab.index("?")
         assert hyp.log_prob <= 0.0
 
 
@@ -148,11 +151,53 @@ def test_two_step_beam_matches_enumeration(seed):
     assert [b.tokens for b in beam] == [seq for seq, _ in oracle[:2]]
 
 
+@pytest.mark.parametrize("scale", [0.0, 0.08, 1.0, 30.0])
+@pytest.mark.parametrize("n_out", [3, 5, 40, 300])
+def test_beam_matches_reference_beam_bit_for_bit(n_out, scale):
+    # scale 0 makes every candidate tie, scale 30 saturates the gates;
+    # width n_out + 1 is above the first step's candidate count, so the
+    # cut there falls at the lowest score (left out at n_out 300, where
+    # the reference would build ~90k candidates a step)
+    tokens = ["<unk>", "<bos>", "?"] + [f"w{i}" for i in range(n_out - 3)]
+    widths = (1, 2, 3, 5, 8) + ((n_out + 1,) if n_out <= 40 else ())
+    for seed in range(2):
+        for max_len in (1, 2, 3, 6):
+            session, params, _ = _session(tokens, seed=seed, max_len=max_len)
+            for t in params.tensors.values():
+                t *= scale
+            for width in widths:
+                beam = session.beam_indices(FACT, width)
+                reference = reference_beam_indices(session, FACT, width)
+                assert [(h.tokens, h.log_prob) for h in beam] == \
+                    [(h.tokens, h.log_prob) for h in reference]
+
+
+def test_beam_breaks_a_tie_between_rows_of_different_scores_by_tokens(monkeypatch):
+    # a decoder whose log-probabilities depend on the previous word only:
+    # one-hot word embeddings pick a row of the table below
+    tokens = ["<unk>", "<bos>", "?", "a", "b", "c"]
+    table = np.full((6, 6), -50.0)
+    table[1, [3, 5]] = -2.0, -1.0   # after <bos>: c (-1) then a (-2)
+    table[5, [2, 4]] = -1.5, -2.0   # after c: ? (-2.5 in all), b (-3)
+    table[3, 4] = -1.0              # after a: b (-3)
+    params = QGenParams.init(n_in=len(INPUT_VOCAB), n_out=6, d_enc=3, d_dec=6,
+                             hidden=4, seed=0)
+    params.tensors["word_emb"][:] = np.eye(6)
+    monkeypatch.setattr(kernels, "decode_step", lambda e_w, h, *rest: kernels.Step(
+        h, table[int(np.argmax(e_w))], *(None,) * 7))
+    monkeypatch.setattr(decoding, "log_softmax_values", lambda logits: logits)
+    session = GenerationSession(params, INPUT_VOCAB, Vocabulary(tokens), max_len=3)
+    # the row of c outscores the row of a, but at the cut (width 2) its
+    # candidate (c, b) ties with (a, b), which has the smaller tokens
+    expected = [((5, 2), -2.5), ((3, 4, 2), -3.0)]
+    for beam in (session.beam_indices, partial(reference_beam_indices, session)):
+        assert [(h.tokens, h.log_prob) for h in beam(FACT, 2)] == expected
+
+
 def test_beam_search_wrapper_and_width_validation():
     session, _, vocab = _session(["<unk>", "<bos>", "?", "w"], seed=1, max_len=4)
     hyps = session.beam_indices(FACT, width=2)
     assert 1 <= len(hyps) <= 2
-    assert all(h.finished for h in hyps)
     assert all(h.tokens[-1] == vocab.index("?") for h in hyps)
     with pytest.raises(ContractError):
         session.beam_indices(FACT, width=0)
@@ -185,6 +230,18 @@ def test_generate_corpus_empty_input(tmp_path):
     out = tmp_path / "corpus.tsv"
     assert generate_corpus(facts, session, out, width=1) == (0, 0)
     assert out.read_text(encoding="utf-8") == ""
+
+
+@pytest.mark.parametrize("width", [0, -3])
+def test_generate_corpus_rejects_bad_width_before_writing(tmp_path, width):
+    # even an empty facts file, which never reaches beam_indices
+    session, _, _ = _session(["<unk>", "<bos>", "?"], seed=2)
+    facts = tmp_path / "facts.tsv"
+    facts.write_text("", encoding="utf-8")
+    out = tmp_path / "corpus.tsv"
+    with pytest.raises(ContractError, match=rf"^beam width must be >= 1, got {width}$"):
+        generate_corpus(facts, session, out, width=width)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["facts.tsv"]
 
 
 def test_generate_corpus_skips_unknown_atoms(tmp_path):
