@@ -5,12 +5,9 @@ each token then runs through the numpy kernel kernels.decode_step.
 An output sequence is at most max_len tokens ending in '?': up to
 max_len - 1 tokens are chosen by the model, and a hypothesis that never
 emits '?' gets one appended (unscored).  Scores are length-unnormalized
-sums of chosen token log-probabilities.  Beam search scores every
-(live hypothesis, word) pair of a step in one array, cuts it at the
-width-th best score and sorts only the candidates at or above the cut by
-(-score, tokens), so ties go to the lexicographically smallest tokens.
-generate_corpus decodes one fact at a time on one thread; the BLAS
-threads inside numpy are its only parallelism.
+sums of chosen token log-probabilities.  generate_corpus decodes one fact
+at a time on one thread; the BLAS threads inside numpy are its only
+parallelism.
 """
 
 from __future__ import annotations
@@ -34,10 +31,11 @@ DEFAULT_BEAM_WIDTH = 5
 
 @dataclass
 class Hypothesis:
-    """A finished candidate question as output-vocab indices."""
+    """A (possibly finished) candidate question as output-vocab indices."""
 
     tokens: tuple[int, ...]
     log_prob: float
+    finished: bool
 
 
 def worker_count() -> int:
@@ -85,32 +83,40 @@ class GenerationSession:
 
     def beam_indices(self, fact: Fact, width: int) -> list[Hypothesis]:
         """Up to `width` finished hypotheses, best (then lexicographically
-        smallest) first.  Each step cuts the (live rows, V) score array at
-        its width-th best score and sorts only the candidates at or above
-        the cut, by (-score, tokens)."""
+        smallest) first."""
         if width < 1:
             raise ContractError(f"beam width must be >= 1, got {width}")
         enc, h0 = encode(fact, self.params, self.input_vocab)
-        live = [((), 0.0, h0)]  # (tokens, score, recurrent state) rows
+        # live beams carry their recurrent state; finished ones do not
+        beams: list[tuple[Hypothesis, np.ndarray, int]] = [
+            (Hypothesis((), 0.0, False), h0, self._bos)
+        ]
         finished: list[Hypothesis] = []
         for _ in range(self.max_len - 1):
-            if not live:
+            if not beams:
                 break
-            steps = [kernels.decode_step(
-                self._word_emb[tokens[-1] if tokens else self._bos], h,
-                *enc, *self._step_weights) for tokens, _, h in live]
-            scores = np.stack([score + log_softmax_values(step.logits)
-                               for (_, score, _), step in zip(live, steps)])
-            nth = -min(width, scores.size)
-            rows, words = np.nonzero(
-                scores >= np.partition(scores, nth, axis=None)[nth])
-            kept = sorted(((live[r][0] + (v,), float(scores[r, v]), r)
-                           for r, v in zip(rows.tolist(), words.tolist())),
-                          key=lambda c: (-c[1], c[0]))[:width]
-            finished += [Hypothesis(t, s) for t, s, _ in kept if t[-1] == self._qmark]
-            live = [(t, s, steps[r].h) for t, s, r in kept if t[-1] != self._qmark]
+            candidates: list[tuple[Hypothesis, np.ndarray]] = []
+            for hyp, h, w_prev in beams:
+                step = kernels.decode_step(
+                    self._word_emb[w_prev], h, *enc, *self._step_weights)
+                h_new = step.h
+                logp = log_softmax_values(step.logits)
+                for v in range(logp.shape[0]):
+                    candidates.append((
+                        Hypothesis(hyp.tokens + (v,), hyp.log_prob + float(logp[v]),
+                                   v == self._qmark),
+                        h_new,
+                    ))
+            candidates.sort(key=lambda c: (-c[0].log_prob, c[0].tokens))
+            beams = []
+            for hyp, h_new in candidates[:width]:
+                if hyp.finished:
+                    finished.append(hyp)
+                else:
+                    beams.append((hyp, h_new, hyp.tokens[-1]))
         # out of steps: force-terminate survivors with an unscored '?'
-        finished += [Hypothesis(t + (self._qmark,), s) for t, s, _ in live]
+        for hyp, _, _ in beams:
+            finished.append(Hypothesis(hyp.tokens + (self._qmark,), hyp.log_prob, True))
         finished.sort(key=lambda hyp: (-hyp.log_prob, hyp.tokens))
         return finished[:width]
 
