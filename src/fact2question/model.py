@@ -38,6 +38,7 @@ the vocabulary hashes and that n_in and n_out are the vocabulary sizes.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -324,64 +325,69 @@ def save_checkpoint(path, params: QGenParams, mode: str,
             fh.write(struct.pack("<B", arr.ndim))
             for extent in arr.shape:
                 fh.write(struct.pack("<I", extent))
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 def load_checkpoint(path, input_vocab: Vocabulary,
                     output_vocab: Vocabulary) -> tuple[QGenParams, str]:
     """Reload a checkpoint, verifying it was trained with these vocabularies.
 
-    A vocabulary hash mismatch raises ContractError; any other fault of the
-    file raises ParseError naming it.
+    Each tensor is read once, straight into its array, after its byte count
+    is checked against what is left of the file.  A vocabulary hash mismatch
+    raises ContractError; any other fault of the file raises ParseError
+    naming it.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    off = 0
+        left = os.fstat(fh.fileno()).st_size
 
-    def take(n):
-        nonlocal off
-        if off + n > len(data):
-            raise ParseError(f"{path}: truncated checkpoint")
-        chunk = data[off:off + n]
-        off += n
-        return chunk
+        def reserve(n):
+            nonlocal left
+            if n > left:
+                raise ParseError(f"{path}: truncated checkpoint")
+            left -= n
 
-    def text(n, what):
-        try:
-            return take(n).decode("utf-8")
-        except UnicodeDecodeError:
-            raise ParseError(f"{path}: {what} is not UTF-8") from None
+        def take(n):
+            reserve(n)
+            return fh.read(n)
 
-    if take(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
-        raise ParseError(f"{path}: not a checkpoint file")
-    (version,) = struct.unpack("<I", take(4))
-    if version != CHECKPOINT_VERSION:
-        raise ParseError(f"{path}: unsupported checkpoint version {version}")
-    (mode_len,) = struct.unpack("<B", take(1))
-    mode = text(mode_len, "mode")
-    in_hash = take(32).hex()
-    out_hash = take(32).hex()
-    if in_hash != input_vocab.content_hash():
-        raise ContractError(f"{path}: input vocabulary hash mismatch")
-    if out_hash != output_vocab.content_hash():
-        raise ContractError(f"{path}: output vocabulary hash mismatch")
+        def text(n, what):
+            try:
+                return take(n).decode("utf-8")
+            except UnicodeDecodeError:
+                raise ParseError(f"{path}: {what} is not UTF-8") from None
 
-    (n_tensors,) = struct.unpack("<I", take(4))
-    arrays: dict[str, np.ndarray] = {}
-    for _ in range(n_tensors):
-        (name_len,) = struct.unpack("<H", take(2))
-        name = text(name_len, "a tensor name")
-        if name in arrays:
-            raise ParseError(f"{path}: tensor {name!r} appears twice")
-        (ndim,) = struct.unpack("<B", take(1))
-        if ndim != 2:
-            raise ParseError(f"{path}: tensor {name!r} has {ndim} dimensions, "
-                             f"expected 2")
-        shape = struct.unpack("<2I", take(8))
-        raw = take(8 * math.prod(shape))
-        arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-    if off != len(data):
-        raise ParseError(f"{path}: trailing bytes after checkpoint payload")
+        if take(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
+            raise ParseError(f"{path}: not a checkpoint file")
+        (version,) = struct.unpack("<I", take(4))
+        if version != CHECKPOINT_VERSION:
+            raise ParseError(f"{path}: unsupported checkpoint version {version}")
+        (mode_len,) = struct.unpack("<B", take(1))
+        mode = text(mode_len, "mode")
+        in_hash = take(32).hex()
+        out_hash = take(32).hex()
+        if in_hash != input_vocab.content_hash():
+            raise ContractError(f"{path}: input vocabulary hash mismatch")
+        if out_hash != output_vocab.content_hash():
+            raise ContractError(f"{path}: output vocabulary hash mismatch")
+
+        (n_tensors,) = struct.unpack("<I", take(4))
+        arrays: dict[str, np.ndarray] = {}
+        for _ in range(n_tensors):
+            (name_len,) = struct.unpack("<H", take(2))
+            name = text(name_len, "a tensor name")
+            if name in arrays:
+                raise ParseError(f"{path}: tensor {name!r} appears twice")
+            (ndim,) = struct.unpack("<B", take(1))
+            if ndim != 2:
+                raise ParseError(f"{path}: tensor {name!r} has {ndim} dimensions, "
+                                 f"expected 2")
+            shape = struct.unpack("<2I", take(8))
+            reserve(8 * math.prod(shape))
+            arr = arrays[name] = np.empty(shape, dtype="<f8")
+            if fh.readinto(arr) != arr.nbytes:  # the file shrank since fstat
+                raise ParseError(f"{path}: truncated checkpoint")
+        if left:
+            raise ParseError(f"{path}: trailing bytes after checkpoint payload")
 
     if INPUT_EMB_NAME not in arrays:
         raise ParseError(f"{path}: missing tensor {INPUT_EMB_NAME!r}")

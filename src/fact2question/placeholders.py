@@ -47,7 +47,10 @@ def find_subject_span(question_tokens, subject_string) -> tuple[int, int, float]
     The score is the longest-matching-blocks ratio (2 * matched chars /
     total chars) between the space-joined span and the lowercased
     subject.  Ties break by earliest start, then shortest span.  The
-    terminal '?' never joins a span.
+    terminal '?' never joins a span.  One matcher indexes the subject once
+    for every span, and a span whose cheap upper bounds on the ratio
+    (real_quick_ratio, quick_ratio) cannot beat the best score so far is
+    skipped, so the result is the exhaustive search's, ties included.
     """
     if not question_tokens or not subject_string.strip():
         raise ContractError("find_subject_span: empty question or subject")
@@ -56,11 +59,15 @@ def find_subject_span(question_tokens, subject_string) -> tuple[int, int, float]
     if question_tokens[-1] == QMARK:
         body_len -= 1
     max_span = len(target.split()) + 2
+    matcher = SequenceMatcher(None, "", target, autojunk=False)
     best = (0, 1, -1.0)
     for start in range(body_len):
         for end in range(start + 1, min(body_len, start + max_span) + 1):
-            span_text = " ".join(question_tokens[start:end])
-            score = SequenceMatcher(None, span_text, target, autojunk=False).ratio()
+            matcher.set_seq1(" ".join(question_tokens[start:end]))
+            if (matcher.real_quick_ratio() <= best[2]
+                    or matcher.quick_ratio() <= best[2]):
+                continue
+            score = matcher.ratio()
             if score > best[2]:
                 best = (start, end, score)
     if best[2] < 0:
@@ -145,6 +152,16 @@ def build_category_map(training_pairs: Iterable[QAPair]) -> CategoryMap:
     return CategoryMap(mapping)
 
 
+def _check_options(mode: str, category_map: CategoryMap | None,
+                   threshold: float) -> None:
+    if mode not in ("sp", "mp"):
+        raise ContractError(f"mode must be 'sp' or 'mp', got {mode!r}")
+    if mode == "mp" and category_map is None:
+        raise ContractError("mp mode needs a category map")
+    if not 0 <= threshold <= 1:
+        raise ContractError(f"threshold must be in [0, 1], got {threshold}")
+
+
 def placeholderize(
     pair: QAPair,
     mode: str = "sp",
@@ -158,12 +175,7 @@ def placeholderize(
     callers drop (and count) such pairs.  A threshold outside [0, 1]
     raises ContractError.
     """
-    if mode not in ("sp", "mp"):
-        raise ContractError(f"mode must be 'sp' or 'mp', got {mode!r}")
-    if mode == "mp" and category_map is None:
-        raise ContractError("mp mode needs a category map")
-    if not 0 <= threshold <= 1:
-        raise ContractError(f"threshold must be in [0, 1], got {threshold}")
+    _check_options(mode, category_map, threshold)
     subject = subject_text(pair.fact, names)
     start, end, score = find_subject_span(list(pair.question_tokens), subject)
     if score < threshold:
@@ -191,7 +203,9 @@ def placeholderize_corpus(
     names: Mapping[str, str] | None = None,
     threshold: float = DEFAULT_THRESHOLD,
 ) -> tuple[list[tuple[QAPair, PlaceholderizedQuestion]], int]:
-    """Placeholderize every pair, dropping (and counting) failures."""
+    """Placeholderize every pair, dropping (and counting) failures.  The
+    options are checked before the first pair, so also when there is none."""
+    _check_options(mode, category_map, threshold)
     kept: list[tuple[QAPair, PlaceholderizedQuestion]] = []
     dropped = 0
     for pair in pairs:

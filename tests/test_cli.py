@@ -342,6 +342,16 @@ def test_baseline_bad_threshold_exits_two(toy_files, capsys, value):
     assert not out.exists()
 
 
+def test_baseline_checks_threshold_on_an_empty_training_file(toy_files, capsys):
+    empty = toy_files["dir"] / "empty.tsv"
+    empty.write_text("", encoding="utf-8")
+    out = toy_files["dir"] / "baseline.tsv"
+    assert run(["baseline", "--train", str(empty), "--facts", str(toy_files["facts"]),
+                "--threshold", "nan", "--output", str(out)]) == 2
+    assert capsys.readouterr().err == "error: threshold must be in [0, 1], got nan\n"
+    assert not out.exists()
+
+
 def test_train_qgen_forwards_max_len_to_validation(toy_files, monkeypatch):
     seen = []
 

@@ -1,6 +1,7 @@
 import math
 import re
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -449,8 +450,39 @@ def test_checkpoint_rejects_overflowing_tensor_extents(tmp_path):
     name = b"input_emb"
     path.write_bytes(header + struct.pack("<IH", 1, len(name)) + name
                      + struct.pack("<BII", 2, 2**32 - 1, 2**31 + 1))
+    # the byte count is checked before anything is allocated for the tensor
     with pytest.raises(ParseError, match="truncated checkpoint"):
-        load_checkpoint(path, INPUT_VOCAB, OUTPUT_VOCAB)
+        _traced_peak(lambda: load_checkpoint(path, INPUT_VOCAB, OUTPUT_VOCAB),
+                     limit=2**20)
+
+
+def _traced_peak(fn, limit):
+    """Run fn under tracemalloc and check its peak allocation is <= limit
+    bytes, also when fn raises."""
+    tracemalloc.start()
+    try:
+        return fn()
+    finally:
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak <= limit
+
+
+def test_checkpoint_load_reads_each_tensor_once(tmp_path):
+    output_vocab = Vocabulary(["<unk>", "<bos>", "?"]
+                              + [f"w{i}" for i in range(3, 3000)])
+    params = QGenParams.init(n_in=len(INPUT_VOCAB), n_out=len(output_vocab),
+                             d_enc=4, d_dec=64, hidden=64, seed=17)
+    path = tmp_path / "checkpoint.bin"
+    save_checkpoint(path, params, "sp", INPUT_VOCAB, output_vocab)
+    tensor_bytes = params.input_emb.nbytes + sum(
+        t.nbytes for t in params.tensors.values())
+    assert tensor_bytes > 3 * 2**20
+    loaded, _ = _traced_peak(
+        lambda: load_checkpoint(path, INPUT_VOCAB, output_vocab),
+        limit=1.25 * tensor_bytes)
+    for name, tensor in params.tensors.items():
+        assert np.array_equal(loaded.tensors[name], tensor)
 
 
 @pytest.mark.parametrize("name, shape, message", [

@@ -1,8 +1,13 @@
+import math
+import random
+import re
 from difflib import SequenceMatcher
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fact2question.data import Fact, QAPair, read_tsv, tokenize
+from fact2question import placeholders
+from fact2question.data import Fact, QAPair, read_tsv, tokenize, tokenize_phrase
 from fact2question.errors import ContractError, NoSubjectSpanError
 from fact2question.placeholders import (
     SP_TOKEN,
@@ -65,6 +70,78 @@ def test_find_subject_span_rejects_empty_inputs():
         find_subject_span(["a", "?"], "   ")
 
 
+def exhaustive_subject_span(question_tokens, subject_string):
+    """The span search with one fresh matcher per span and no skipping: the
+    oracle that find_subject_span must equal exactly."""
+    target = " ".join(tokenize_phrase(subject_string))
+    body_len = len(question_tokens)
+    if question_tokens[-1] == "?":
+        body_len -= 1
+    max_span = len(target.split()) + 2
+    best = (0, 1, -1.0)
+    for start in range(body_len):
+        for end in range(start + 1, min(body_len, start + max_span) + 1):
+            span_text = " ".join(question_tokens[start:end])
+            score = SequenceMatcher(None, span_text, target, autojunk=False).ratio()
+            if score > best[2]:
+                best = (start, end, score)
+    return best
+
+
+# few, overlapping words, so that ties and near-ties are common
+SPAN_WORDS = ["a", "ab", "ba", "abc", "b", "the", "then", "é", "éa", "köln",
+              "'s", ",", "-", "?"]
+
+
+def _span_case(rng):
+    subject = " ".join(rng.choice(SPAN_WORDS) for _ in range(rng.randint(1, 5)))
+    tokens = [rng.choice(SPAN_WORDS) for _ in range(rng.randint(1, 9))]
+    if rng.random() < 0.5:  # plant the subject, sometimes twice
+        for _ in range(rng.randint(1, 2)):
+            at = rng.randint(0, len(tokens))
+            tokens[at:at] = subject.split()
+    if rng.random() < 0.7:
+        tokens.append("?")
+    return tokens, subject
+
+
+def _check_against_oracle(tokens, subject):
+    expected = exhaustive_subject_span(tokens, subject)
+    if expected[2] < 0:  # only a '?': no body tokens
+        with pytest.raises(ContractError, match="no body tokens"):
+            find_subject_span(tokens, subject)
+    else:
+        assert find_subject_span(tokens, subject) == expected
+
+
+def test_find_subject_span_equals_the_exhaustive_search_on_seeded_cases():
+    rng = random.Random(1603)
+    for _ in range(3000):
+        _check_against_oracle(*_span_case(rng))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(tokens=st.lists(st.sampled_from(SPAN_WORDS), min_size=1, max_size=12),
+       subject=st.lists(st.sampled_from(SPAN_WORDS), min_size=1, max_size=14))
+def test_find_subject_span_equals_the_exhaustive_search(tokens, subject):
+    # subjects longer than the question, punctuation and '?' inside either
+    _check_against_oracle(tokens, " ".join(subject))
+
+
+def test_find_subject_span_builds_one_matcher_per_call(monkeypatch):
+    built = []
+
+    class CountingMatcher(SequenceMatcher):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(placeholders, "SequenceMatcher", CountingMatcher)
+    tokens = "which forest is fires creek in fires creek ?".split()
+    assert find_subject_span(tokens, "fires creek") == (3, 5, 1.0)
+    assert len(built) == 1
+
+
 def test_subject_text_prefers_names_then_humanizes():
     fact = Fact("fires_creek", "r", "o")
     assert subject_text(fact) == "fires creek"
@@ -106,6 +183,17 @@ def test_placeholderize_corpus_counts_drops():
     kept, dropped = placeholderize_corpus([FOREST_PAIR, bad], "sp")
     assert len(kept) == 1
     assert dropped == 1
+
+
+@pytest.mark.parametrize("mode, threshold, message", [
+    ("zz", math.nan, "mode must be 'sp' or 'mp', got 'zz'"),
+    ("mp", 0.5, "mp mode needs a category map"),
+    ("sp", math.nan, "threshold must be in [0, 1], got nan"),
+])
+def test_placeholderize_corpus_checks_options_on_an_empty_corpus(mode, threshold,
+                                                                 message):
+    with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+        placeholderize_corpus([], mode, None, None, threshold)
 
 
 def test_placeholderize_output_has_exactly_one_placeholder():
