@@ -10,6 +10,10 @@ METEOR-lite's chunk count is the fewest over every maximal alignment
 when a depth-first search of them visits fewer than 20,000 nodes, and
 the leftmost-in-order alignment's otherwise.  The node count follows
 from the matching groups' sizes, so it is known before any search runs.
+
+Emb. Greedy computes each pair's cosine matrix once, reading its rows in
+one direction and its columns in the other, and each token's norm once
+per `evaluate_corpus` call; the scores are unchanged bit for bit.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from typing import Sequence
 
 import numpy as np
@@ -126,18 +130,23 @@ def _options(ci, rj, k):
             for csel in combinations(ci, k) for rsel in permutations(rj, k)]
 
 
-def _alignments(cand, ref, stages, pairs):
-    """Every maximal alignment that extends `pairs`, the leftmost-in-order
-    one first."""
-    if not stages:
-        yield pairs
-        return
-    cand_free = set(range(len(cand))).difference(i for i, _ in pairs)
-    ref_free = set(range(len(ref))).difference(j for _, j in pairs)
-    groups = _stage_groups(cand, ref, cand_free, ref_free, stages[0])
-    for choice in product(*(_options(*group) for group in groups)):
-        yield from _alignments(cand, ref, stages[1:],
-                               pairs + [p for option in choice for p in option])
+def _alignments(cand, ref, stages):
+    """Every maximal alignment, the leftmost-in-order one first.  Groups
+    extend the alignments one at a time, so each prefix is built once for
+    every choice of the groups after it."""
+    alignments = [[]]
+    for key_fn in stages:
+        extended = []
+        for pairs in alignments:
+            cand_free = set(range(len(cand))).difference(i for i, _ in pairs)
+            ref_free = set(range(len(ref))).difference(j for _, j in pairs)
+            prefixes = [pairs]
+            for group in _stage_groups(cand, ref, cand_free, ref_free, key_fn):
+                options = _options(*group)
+                prefixes = [prefix + option for prefix in prefixes for option in options]
+            extended += prefixes
+        alignments = extended
+    return alignments
 
 
 def _align(cand: Sequence[str], ref: Sequence[str]) -> list[tuple[int, int]]:
@@ -149,9 +158,13 @@ def _align(cand: Sequence[str], ref: Sequence[str]) -> list[tuple[int, int]]:
     stages = (lambda t: t, functools.cache(stem))
     cand_free, ref_free = set(range(len(cand))), set(range(len(ref)))
     in_order: list[tuple[int, int]] = []
+    searched = []
     nodes, leaves = 0, 1
     for key_fn in stages:
-        for ci, rj, k in _stage_groups(cand, ref, cand_free, ref_free, key_fn):
+        groups = _stage_groups(cand, ref, cand_free, ref_free, key_fn)
+        if groups:  # a stage without groups here has none under any choice
+            searched.append(key_fn)
+        for ci, rj, k in groups:
             # a depth-first search visits each of this group's options
             # under every choice made for the groups before it
             leaves *= math.comb(len(ci), k) * math.perm(len(rj), k)
@@ -161,7 +174,7 @@ def _align(cand: Sequence[str], ref: Sequence[str]) -> list[tuple[int, int]]:
             ref_free.difference_update(rj[:k])
     if leaves == 1 or nodes >= _ALIGN_BUDGET:
         return in_order
-    return min(_alignments(cand, ref, stages, []), key=_count_chunks)
+    return min(_alignments(cand, ref, searched), key=_count_chunks)
 
 
 def meteor_lite(candidate: Sequence[str], reference: Sequence[str]) -> float:
@@ -214,52 +227,50 @@ class WordVectorStore:
         return self._vectors.get(token)
 
 
-def _cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na = math.sqrt(float(np.dot(a, a)))
-    nb = math.sqrt(float(np.dot(b, b)))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    # rounding can push a vector's cosine with itself just above 1
-    return min(1.0, float(np.dot(a, b)) / (na * nb))
-
-
-def _directional_mean(src, dst, store: WordVectorStore) -> tuple[float, int]:
-    """Mean best-match cosine of src's tokens against dst, and how many
-    of src's tokens are out of vocabulary."""
+def _greedy_mean(lines) -> float:
+    """Mean over a sentence's tokens of each one's best cosine with the
+    other sentence; an OOV token's line is None and scores 0."""
     sims = []
-    oov = 0
-    for token in src:
-        v = store.get(token)
-        if v is None:
-            oov += 1
-            sims.append(0.0)
-            continue
+    for line in lines:
         # starting at 0.0 floors negative best-matches, keeping the
         # score inside [0, 100]
         best = 0.0
-        for other in dst:
-            w = store.get(other)
-            if w is not None:
-                best = max(best, _cosine(v, w))
+        for c in line or ():
+            best = max(best, c)
         sims.append(best)
-    return sum(sims) / len(sims), oov
+    return sum(sims) / len(sims)
 
 
 def _embedding_greedy(candidate: Sequence[str], reference: Sequence[str],
-                      store: WordVectorStore) -> tuple[float, int]:
-    """Emb. Greedy score and the OOV tokens met in both directions."""
+                      store: WordVectorStore, norms: dict) -> tuple[float, int]:
+    """Emb. Greedy score and the OOV tokens met in both directions, from
+    one cosine matrix: rows for the candidate's tokens, columns for the
+    reference's.  `norms` keeps the norm of every token met so far."""
     if not candidate or not reference:
         raise ContractError("embedding_greedy: empty sentence")
-    forward, oov_forward = _directional_mean(candidate, reference, store)
-    backward, oov_backward = _directional_mean(reference, candidate, store)
-    return 100.0 * 0.5 * (forward + backward), oov_forward + oov_backward
+    for token in (*candidate, *reference):
+        if token not in norms and (v := store.get(token)) is not None:
+            norms[token] = math.sqrt(float(np.dot(v, v)))
+    ref_known = [(store.get(t), norms[t]) for t in reference if t in norms]
+    rows = []
+    for token in candidate:
+        v, na = store.get(token), norms.get(token)
+        # rounding can push a vector's cosine with itself just above 1
+        rows.append(None if v is None else
+                    [0.0 if na == 0.0 or nb == 0.0
+                     else min(1.0, float(np.dot(v, w)) / (na * nb))
+                     for w, nb in ref_known])
+    columns = zip(*(row for row in rows if row is not None))
+    cols = [next(columns, ()) if t in norms else None for t in reference]
+    score = 100.0 * 0.5 * (_greedy_mean(rows) + _greedy_mean(cols))
+    return score, rows.count(None) + cols.count(None)
 
 
 def embedding_greedy(candidate: Sequence[str], reference: Sequence[str],
                      store: WordVectorStore) -> float:
     """Greedy non-exclusive best-cosine alignment averaged over both
     directions, in [0, 100]; OOV tokens contribute similarity 0."""
-    return _embedding_greedy(candidate, reference, store)[0]
+    return _embedding_greedy(candidate, reference, store, {})[0]
 
 
 # ---------------------------------------------------------------------------
@@ -331,10 +342,11 @@ def evaluate_corpus(candidates: Sequence[Sequence[str]],
         raise ContractError("evaluate_corpus: candidate/reference length mismatch")
     examples: list[ExampleScore] = []
     oov_total = 0
+    norms: dict = {}
     for cand, ref in zip(candidates, references):
         emb = None
         if store is not None:
-            emb, oov = _embedding_greedy(cand, ref, store)
+            emb, oov = _embedding_greedy(cand, ref, store, norms)
             oov_total += oov
         examples.append(ExampleScore(
             candidate=list(cand), reference=list(ref),

@@ -109,10 +109,12 @@ class TransEModel:
         i = self.entity_index(entity)
         diff = self.entities - self.entities[i]
         dist = np.sqrt(np.sum(diff * diff, axis=1))
-        ranked = sorted(
-            ((float(dist[j]), self.entity_ids[j])
-             for j in range(len(self.entity_ids)) if j != i),
-        )
+        others = np.flatnonzero(np.arange(len(dist)) != i)
+        if k < len(others):
+            # keep every tie at the k-th distance, so ties still break by id
+            cut = np.partition(dist[others], k - 1)[k - 1]
+            others = others[dist[others] <= cut]
+        ranked = sorted((float(dist[j]), self.entity_ids[j]) for j in others)
         return [(eid, d) for d, eid in ranked[:k]]
 
     def save(self, entity_path, relationship_path) -> None:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from conftest import prepare_toy
-from fact2question import decoding, kernels, training
+from fact2question import decoding, kernels, metrics, training
 from fact2question.autodiff import Tape
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -94,3 +94,31 @@ def test_beam_steps_each_live_row_once_through_module_attributes(monkeypatch):
         assert calls["decode_step"] == calls["log_softmax_values"] > 0
         if width == 1:
             assert calls["decode_step"] == greedy_steps
+
+
+def test_evaluate_corpus_reaches_metrics_through_module_attributes(monkeypatch):
+    # perfbench's metrics.emb_greedy.s_per_pair is evaluate_corpus's self
+    # time less the metrics.sentence_precisions, metrics.meteor_lite and
+    # metrics.bleu spans, and porter.stem.calls counts metrics.stem: each
+    # call of evaluate_corpus must reach them through those attributes,
+    # with no cache carried over from an earlier call
+    calls = dict.fromkeys(("sentence_precisions", "meteor_lite", "bleu", "stem"), 0)
+    for name in calls:
+        original = getattr(metrics, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(metrics, name, counting)
+    store = metrics.WordVectorStore({"who": np.array([1.0, 0.0]),
+                                     "walked": np.array([0.6, 0.8])})
+    cands = [["who", "walked", "?"], ["who", "ran", "?"], ["walked"]]
+    refs = [["who", "walking", "?"], ["who", "ran", "?"], ["who"]]
+    for _ in range(2):
+        calls.update(dict.fromkeys(calls, 0))
+        metrics.evaluate_corpus(cands, refs, store)
+        assert calls["sentence_precisions"] == calls["meteor_lite"] == len(cands)
+        assert calls["bleu"] == 1
+        # "walked" and "walking" pair only at the stem stage
+        assert calls["stem"] >= 1

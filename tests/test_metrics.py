@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -336,6 +338,99 @@ def test_evaluate_corpus_matches_per_metric_oracles():
     assert len(report.examples) == 5
     for ex, c, r in zip(report.examples, cands, refs):
         assert ex.precisions == sentence_precisions(c, r)
+
+
+def _oracle_cosine(a, b):
+    na = math.sqrt(float(np.dot(a, a)))
+    nb = math.sqrt(float(np.dot(b, b)))
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return min(1.0, float(np.dot(a, b)) / (na * nb))
+
+
+def _oracle_directional_mean(src, dst, store):
+    sims = []
+    oov = 0
+    for token in src:
+        v = store.get(token)
+        if v is None:
+            oov += 1
+            sims.append(0.0)
+            continue
+        best = 0.0
+        for other in dst:
+            w = store.get(other)
+            if w is not None:
+                best = max(best, _oracle_cosine(v, w))
+        sims.append(best)
+    return sum(sims) / len(sims), oov
+
+
+def _oracle_report(cands, refs, store):
+    """evaluate_corpus as it was before each pair's cosines were shared
+    between directions: both directions recompute every cosine."""
+    examples, oov_total = [], 0
+    for c, r in zip(cands, refs):
+        forward, oov_forward = _oracle_directional_mean(c, r, store)
+        backward, oov_backward = _oracle_directional_mean(r, c, store)
+        oov_total += oov_forward + oov_backward
+        examples.append(metrics.ExampleScore(
+            candidate=list(c), reference=list(r),
+            precisions=sentence_precisions(c, r), meteor_lite=meteor_lite(c, r),
+            emb_greedy=100.0 * 0.5 * (forward + backward)))
+    return metrics.MetricReport(
+        bleu=bleu(cands, refs),
+        meteor_lite=sum(ex.meteor_lite for ex in examples) / len(examples),
+        emb_greedy=sum(ex.emb_greedy for ex in examples) / len(examples),
+        examples=examples, oov_count=oov_total)
+
+
+def _oracle_corpus(seed):
+    """A store with a zero vector, a vector pointing opposite another and
+    random vectors, and pairs drawn with OOV and repeated tokens,
+    identical sentences and one-token sentences."""
+    rng = np.random.default_rng(seed)
+    words = [f"w{i}" for i in range(12)]
+    vectors = {w: rng.standard_normal(6) * rng.uniform(0.1, 10.0) for w in words}
+    vectors["zero"] = np.zeros(6)
+    vectors["anti"] = -vectors["w0"]
+    vocab = list(vectors) + ["oov1", "oov2"]
+
+    def sentence(n):
+        return [vocab[i] for i in rng.integers(0, len(vocab), n)]
+
+    cands, refs = [], []
+    for _ in range(40):
+        c = sentence(int(rng.integers(1, 9)))
+        shape = rng.integers(0, 4)
+        r = (list(c) if shape == 0 else sentence(1) if shape == 1
+             else c[:1] * 3 + sentence(2) if shape == 2 else sentence(int(rng.integers(1, 9))))
+        cands.append(c)
+        refs.append(r)
+    return cands, refs, WordVectorStore(vectors)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_evaluate_corpus_matches_the_pairwise_oracle(seed):
+    cands, refs, store = _oracle_corpus(seed)
+    cands += [T("w1"), T("oov1"), T("zero zero"), T("w3 w3 oov2")]
+    refs += [T("w1"), T("oov1 oov2"), T("zero w2"), T("w3 w3 oov2")]
+    # the draws reach every case the shared matrix must get right
+    flat = [t for s in cands + refs for t in s]
+    assert "zero" in flat and "oov1" in flat and "anti" in flat
+    assert any(c == r for c, r in zip(cands, refs))
+    assert any(len(c) != len(set(c)) for c in cands)
+    assert any(len(c) == 1 for c in cands) and any(len(r) == 1 for r in refs)
+    # some vector's unrounded cosine with itself is above 1
+    assert any(float(np.dot(v, v)) / math.sqrt(float(np.dot(v, v))) ** 2 > 1.0
+               for v in map(store.get, flat) if v is not None and v.any())
+    report = evaluate_corpus(cands, refs, store)
+    oracle = _oracle_report(cands, refs, store)
+    assert report.examples == oracle.examples
+    assert (report.bleu, report.meteor_lite, report.emb_greedy, report.oov_count) == \
+        (oracle.bleu, oracle.meteor_lite, oracle.emb_greedy, oracle.oov_count)
+    for c, r, ex in zip(cands, refs, oracle.examples):
+        assert embedding_greedy(c, r, store) == ex.emb_greedy
 
 
 def test_evaluate_corpus_contract_errors():

@@ -134,6 +134,25 @@ def test_nearest_neighbors_ordering_and_ties():
     assert ranked[0][1] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8, 20])
+def test_nearest_neighbors_partial_sort_matches_full_sort(k):
+    # ids out of row order, so a tie breaks by id and not by row; four
+    # entities tie at distance 1 and two at distance 2 from "m"
+    points = {"m": [0.0, 0.0], "q": [1.0, 0.0], "b": [0.0, 1.0],
+              "z": [-1.0, 0.0], "c": [0.0, -1.0], "a": [2.0, 0.0],
+              "y": [0.0, 2.0], "n": [3.0, 0.0]}
+    ids = list(points)
+    model = TransEModel(ids, ["r"], np.array([points[e] for e in ids]),
+                        np.zeros((1, 2)))
+    for entity in ids:
+        i = ids.index(entity)
+        dist = np.sqrt(np.sum((model.entities - model.entities[i]) ** 2, axis=1))
+        full = sorted((float(dist[j]), ids[j]) for j in range(len(ids)) if j != i)
+        assert model.nearest_neighbors(entity, k) == [(e, d) for d, e in full[:k]]
+    assert [e for e, _ in model.nearest_neighbors("m", k)] == \
+        ["b", "c", "q", "z", "a", "y", "n"][:k]
+
+
 def test_nearest_neighbors_two_entity_model():
     model = _model({"a": [0.0], "b": [3.0]}, {"r": [0.0]})
     assert model.nearest_neighbors("a", k=1)[0][0] == "b"
