@@ -2,6 +2,10 @@
 
 Two inner loops dominate runtime: the per-triple SGD epoch of embedding
 training and the per-token decoder step.  Both run on raw arrays.
+transe_epoch walks the tables as lists of row views, so a row is a list
+lookup and its update an in-place ufunc; its arithmetic is per-triple
+SGD's, operation for operation, and the tests check it bit for bit
+against a loop that indexes the arrays.
 decode_step is the one decoder forward: generation reads its new state
 and logits, and training (model.sequence_log_likelihood) also keeps the
 activations it returns for the hand-written backward pass.  The tests
@@ -10,6 +14,7 @@ check it against a decoder step built from primitive tape ops.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -35,34 +40,34 @@ def transe_epoch(ent, rel, s_idx, r_idx, o_idx, order, corrupt_tail, neg_ent,
                  lr, margin):
     """One SGD epoch of margin-ranking training, in place on ent/rel.
 
-    ent (E, d), rel (R, d); s_idx/r_idx/o_idx (n,) triple columns;
-    order (n,) visit order; corrupt_tail (n,) 0/1 side flags and
-    neg_ent (n,) corrupting entities, both indexed by visit position.
-    Returns the summed hinge loss.
+    ent (E, d), rel (R, d) float64; s_idx/r_idx/o_idx (n,) triple columns;
+    order (n,) visit order; corrupt_tail (n,) 0/1 side flags and neg_ent
+    (n,) corrupting entities, both by visit position.  Each violating
+    triple updates ent[s], ent[o], rel[r], ent[ns], ent[no] in that order
+    before the next is scored.  Returns the summed hinge loss as a float.
     """
+    ent, rel = list(ent), list(rel)
+    s_idx, r_idx, o_idx = s_idx.tolist(), r_idx.tolist(), o_idx.tolist()
     total = 0.0
-    for k in range(order.shape[0]):
-        i = order[k]
+    for i, tail, neg in zip(order.tolist(), corrupt_tail.tolist(), neg_ent.tolist()):
         s, r, o = s_idx[i], r_idx[i], o_idx[i]
-        if corrupt_tail[k]:
-            ns, no = s, neg_ent[k]
-        else:
-            ns, no = neg_ent[k], o
+        ns, no = (s, neg) if tail else (neg, o)
         pos = ent[s] + rel[r] - ent[o]
         negv = ent[ns] + rel[r] - ent[no]
-        f_pos = np.sqrt(np.sum(pos * pos))
-        f_neg = np.sqrt(np.sum(negv * negv))
+        f_pos = math.sqrt(np.add.reduce(pos * pos))
+        f_neg = math.sqrt(np.add.reduce(negv * negv))
         viol = margin + f_pos - f_neg
         if viol > 0.0:
             total += viol
             g_pos = pos / f_pos if f_pos > 0.0 else np.zeros_like(pos)
             g_neg = negv / f_neg if f_neg > 0.0 else np.zeros_like(negv)
-            ent[s] -= lr * g_pos
-            ent[o] += lr * g_pos
+            step_pos, step_neg = lr * g_pos, lr * g_neg
+            ent[s] -= step_pos
+            ent[o] += step_pos
             rel[r] -= lr * (g_pos - g_neg)
-            ent[ns] += lr * g_neg
-            ent[no] -= lr * g_neg
-    return total
+            ent[ns] += step_neg
+            ent[no] -= step_neg
+    return float(total)
 
 
 class Step(NamedTuple):

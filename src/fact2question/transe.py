@@ -3,13 +3,15 @@
 A triple (s, r, o) is scored by the Euclidean norm of e_s + e_r - e_o;
 training pushes true triples below corrupted ones by a margin.  Entity
 rows are projected into the unit ball at initialization and after every
-epoch.  The per-epoch SGD loop is the tape-free numpy kernel
-kernels.transe_epoch.
+epoch.  The per-epoch SGD loop is kernels.transe_epoch, which updates
+the tables in place one triple at a time; an epoch that leaves a
+non-finite row stops training with a NumericError.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -17,7 +19,7 @@ import numpy as np
 
 from . import kernels
 from .data import Fact, read_vectors, write_vectors
-from .errors import ContractError, UnknownIdError
+from .errors import ContractError, NumericError, UnknownIdError
 
 log = logging.getLogger(__name__)
 
@@ -39,6 +41,9 @@ class TransEConfig:
             raise ContractError(f"learning rate must be >= 0, got {self.learning_rate}")
         if self.epochs < 0:
             raise ContractError(f"epochs must be >= 0, got {self.epochs}")
+        for name, value in (("margin", self.margin), ("learning rate", self.learning_rate)):
+            if not math.isfinite(value):
+                raise ContractError(f"{name} must be finite, got {value}")
 
 
 def _project_to_unit_ball(rows: np.ndarray) -> None:
@@ -158,6 +163,9 @@ def train_transe(triples: Iterable[Fact], config: TransEConfig) -> TransEModel:
                                     order, corrupt_tail, neg_ent,
                                     config.learning_rate, config.margin)
         _project_to_unit_ball(entities)
+        if not (np.isfinite(entities).all() and np.isfinite(relationships).all()):
+            raise NumericError(f"TransE epoch {epoch + 1} left non-finite embeddings "
+                               f"(learning rate {config.learning_rate})")
         log.debug("epoch %d: hinge loss %.4f", epoch + 1, loss)
 
     return TransEModel(entity_ids, relationship_ids, entities, relationships)

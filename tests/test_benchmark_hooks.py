@@ -3,12 +3,14 @@ name; a rename that would stop it fails here first.  Of the benchmark's
 code, only module imports and run.machine_facts() execute here."""
 
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
 
 from conftest import prepare_toy
-from fact2question import decoding, kernels, metrics, training
+from fact2question import decoding, kernels, metrics, training, transe
+from fact2question.data import Fact
 from fact2question.autodiff import Tape
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -122,3 +124,24 @@ def test_evaluate_corpus_reaches_metrics_through_module_attributes(monkeypatch):
         assert calls["bleu"] == 1
         # "walked" and "walking" pair only at the stem stage
         assert calls["stem"] >= 1
+
+
+def test_train_transe_reaches_the_epoch_kernel_once_per_epoch(monkeypatch):
+    # perfbench's kernels.transe_epoch.s_per_triple divides the
+    # kernels.transe_epoch spans by len(args[5]), and transe.last_epoch_hinge
+    # records each call's return value: train_transe must reach the kernel
+    # through that attribute once per epoch, with one visit per triple, and
+    # get back a finite float
+    calls = []
+    transe_epoch = kernels.transe_epoch
+
+    def counting_transe_epoch(*args):
+        loss = transe_epoch(*args)
+        calls.append((len(args[5]), loss))
+        return loss
+
+    monkeypatch.setattr(kernels, "transe_epoch", counting_transe_epoch)
+    triples = [Fact(f"e{i % 5}", f"r{i % 2}", f"e{(3 * i + 1) % 7}") for i in range(9)]
+    transe.train_transe(triples, transe.TransEConfig(dim=4, epochs=3, seed=0))
+    assert [n for n, _ in calls] == [len(triples)] * 3
+    assert all(type(loss) is float and math.isfinite(loss) for _, loss in calls)

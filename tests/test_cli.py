@@ -331,6 +331,23 @@ def test_train_transe_bad_settings_exit_two(toy_files, capsys, flag, value, mess
     assert not ent.exists() and not rel.exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--learning-rate", "inf", "learning rate must be finite, got inf"),
+    ("--margin", "inf", "margin must be finite, got inf"),
+    ("--learning-rate", "1e308",
+     "TransE epoch 1 left non-finite embeddings (learning rate 1e+308)"),
+], ids=["learning-rate-inf", "margin-inf", "learning-rate-overflow"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_transe_non_finite_settings_exit_two(toy_files, capsys, flag, value, message):
+    d = toy_files["dir"]
+    ent, rel = d / "e7.txt", d / "r7.txt"
+    assert run(["train-transe", "--questions", str(toy_files["train"]),
+                "--dim", "1", "--epochs", "2", "--seed", "0", flag, value,
+                "--out-entities", str(ent), "--out-relations", str(rel)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not ent.exists() and not rel.exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "1.5", "-0.1"])
 def test_baseline_bad_threshold_exits_two(toy_files, capsys, value):
     out = toy_files["dir"] / "baseline.tsv"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fact2question.data import Fact
-from fact2question.errors import ContractError, ParseError, UnknownIdError
+from fact2question.errors import ContractError, NumericError, ParseError, UnknownIdError
 from fact2question.transe import (
     TransEConfig,
     TransEModel,
@@ -57,6 +57,27 @@ def test_config_validation():
     with pytest.raises(ContractError):
         TransEConfig(margin=0.0)
     TransEConfig(learning_rate=0.0)  # zero step size is allowed
+
+
+@pytest.mark.parametrize("setting, message", [
+    (dict(learning_rate=float("inf")), "learning rate must be finite, got inf"),
+    (dict(margin=float("inf")), "margin must be finite, got inf"),
+], ids=["learning-rate-inf", "margin-inf"])
+def test_config_rejects_infinite_rate_and_margin(setting, message):
+    with pytest.raises(ContractError, match=f"^{message}$"):
+        TransEConfig(**setting)
+
+
+@pytest.mark.parametrize("n_triples, seed, epoch", [(40, 0, 1), (8, 1, 2)])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_overflowing_rate_names_the_epoch(n_triples, seed, epoch):
+    # at dim 1 each gradient is +-1, so rel[r] moves by lr * 2 = inf once
+    # a violating triple's true and corrupted residuals differ in sign
+    triples = [Fact(f"e{i}", "r", f"e{i + 1}") for i in range(n_triples)]
+    config = TransEConfig(dim=1, epochs=3, learning_rate=1.7e308, seed=seed)
+    with pytest.raises(NumericError,
+                       match=f"^TransE epoch {epoch} left non-finite embeddings"):
+        train_transe(triples, config)
 
 
 def test_train_empty_triples_rejected():
