@@ -5,7 +5,8 @@ explicit flags override the file, the file overrides built-in defaults,
 and an unknown key, or a value its option's type rejects, is a usage error
 naming file:line.  The effective configuration is echoed to
 the log so any run can be reproduced.  All randomness derives from
---seed.  Exit codes: 0 success, 1 usage error, 2 data/contract error.
+--seed.  Exit codes: 0 success, 1 usage error, 2 data/contract error
+(an allocation too large for the machine included).
 """
 
 from __future__ import annotations
@@ -80,101 +81,12 @@ def _paths(raw: str) -> list[str]:
 
 COMMON = [Option("seed", int, 0, "seed for every random choice")]
 
-SUBCOMMANDS: dict[str, tuple[str, list[Option]]] = {
-    "train-transe": (
-        "train translation embeddings over triple files",
-        [
-            Option("triples", str, "", "comma-separated triple TSV paths"),
-            Option("questions", str, "", "comma-separated question TSV paths "
-                                         "whose facts join the training set"),
-            Option("dim", int, TransEConfig.dim, "embedding dimensionality"),
-            Option("margin", float, TransEConfig.margin, "ranking margin"),
-            Option("learning-rate", float, TransEConfig.learning_rate, "SGD step size"),
-            Option("epochs", int, TransEConfig.epochs, "training epochs"),
-            Option("out-entities", str, "", "entity embedding output path", True),
-            Option("out-relations", str, "", "relationship embedding output path", True),
-        ],
-    ),
-    "train-qgen": (
-        "train the question decoder",
-        [
-            Option("train", str, "", "training question TSV", True),
-            Option("valid", str, "", "validation question TSV", True),
-            Option("entity-embeddings", str, "", "pretrained entity embeddings", True),
-            Option("relationship-embeddings", str, "", "pretrained relationship "
-                                                       "embeddings", True),
-            Option("mode", str, "sp", "placeholder mode: sp or mp"),
-            Option("names", str, "", "optional id -> display-name TSV"),
-            Option("min-count", int, 1, "vocabulary frequency cutoff"),
-            Option("threshold", float, DEFAULT_THRESHOLD, "subject-span match threshold"),
-            Option("word-dim", int, 200, "output word embedding size"),
-            Option("hidden", int, 600, "decoder state size"),
-            Option("learning-rate", float, TrainConfig.learning_rate, "Adam step size"),
-            Option("clip-norm", float, TrainConfig.clip_norm, "global gradient clip"),
-            Option("batch-size", int, TrainConfig.batch_size, "examples per update"),
-            Option("patience", int, TrainConfig.patience,
-                   "evaluations without improvement before stopping"),
-            Option("eval-every", int, 0, "updates between evaluations (0 = each epoch)"),
-            Option("max-steps", int, 0, "hard update limit (0 = none)"),
-            Option("max-len", int, DEFAULT_MAX_LEN,
-                   "decode length cap during validation"),
-            Option("out-dir", str, "", "directory for checkpoint/vocabularies/log", True),
-        ],
-    ),
-    "generate": (
-        "decode questions for a triple file",
-        [
-            Option("facts", str, "", "triple TSV to transduce", True),
-            Option("checkpoint", str, "", "trained checkpoint path", True),
-            Option("input-vocab", str, "", "input vocabulary dump", True),
-            Option("output-vocab", str, "", "output vocabulary dump", True),
-            Option("names", str, "", "optional id -> display-name TSV"),
-            Option("width", int, DEFAULT_BEAM_WIDTH, "beam width (1 = greedy)"),
-            Option("max-len", int, DEFAULT_MAX_LEN, "decode length cap"),
-            Option("output", str, "", "output TSV path", True),
-        ],
-    ),
-    "evaluate": (
-        "score candidate questions against references",
-        [
-            Option("candidates", str, "", "one question per line", True),
-            Option("references", str, "", "one question per line", True),
-            Option("word-vectors", str, "", "pretrained word vectors for Emb. Greedy"),
-            Option("report", str, "", "optional per-example TSV output path"),
-        ],
-    ),
-    "baseline": (
-        "answer facts with sampled training templates",
-        [
-            Option("train", str, "", "training question TSV", True),
-            Option("facts", str, "", "triple TSV to answer", True),
-            Option("names", str, "", "optional id -> display-name TSV"),
-            Option("threshold", float, DEFAULT_THRESHOLD, "subject-span match threshold"),
-            Option("output", str, "", "output TSV path", True),
-        ],
-    ),
-    "neighbors": (
-        "print nearest entities in embedding space",
-        [
-            Option("entity-embeddings", str, "", "entity embedding file", True),
-            Option("entity", str, "", "query entity id", True),
-            Option("k", int, 5, "neighbor count"),
-        ],
-    ),
-    "gradcheck": (
-        "verify decoder gradients against finite differences",
-        [
-            Option("eps", float, 1e-5, "finite-difference step"),
-        ],
-    ),
-}
-
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="fact2question")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command")
-    for name, (help_text, options) in SUBCOMMANDS.items():
+    for name, (help_text, options, _) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=argparse.SUPPRESS,
                        help="flat 'key = value' config file")
@@ -423,14 +335,100 @@ def _cmd_gradcheck(cfg) -> int:
     return 2
 
 
-_HANDLERS = {
-    "train-transe": _cmd_train_transe,
-    "train-qgen": _cmd_train_qgen,
-    "generate": _cmd_generate,
-    "evaluate": _cmd_evaluate,
-    "baseline": _cmd_baseline,
-    "neighbors": _cmd_neighbors,
-    "gradcheck": _cmd_gradcheck,
+SUBCOMMANDS: dict[str, tuple[str, list[Option], Callable[[dict], int]]] = {
+    "train-transe": (
+        "train translation embeddings over triple files",
+        [
+            Option("triples", str, "", "comma-separated triple TSV paths"),
+            Option("questions", str, "", "comma-separated question TSV paths "
+                                         "whose facts join the training set"),
+            Option("dim", int, TransEConfig.dim, "embedding dimensionality"),
+            Option("margin", float, TransEConfig.margin, "ranking margin"),
+            Option("learning-rate", float, TransEConfig.learning_rate, "SGD step size"),
+            Option("epochs", int, TransEConfig.epochs, "training epochs"),
+            Option("out-entities", str, "", "entity embedding output path", True),
+            Option("out-relations", str, "", "relationship embedding output path", True),
+        ],
+        _cmd_train_transe,
+    ),
+    "train-qgen": (
+        "train the question decoder",
+        [
+            Option("train", str, "", "training question TSV", True),
+            Option("valid", str, "", "validation question TSV", True),
+            Option("entity-embeddings", str, "", "pretrained entity embeddings", True),
+            Option("relationship-embeddings", str, "", "pretrained relationship "
+                                                       "embeddings", True),
+            Option("mode", str, "sp", "placeholder mode: sp or mp"),
+            Option("names", str, "", "optional id -> display-name TSV"),
+            Option("min-count", int, 1, "vocabulary frequency cutoff"),
+            Option("threshold", float, DEFAULT_THRESHOLD, "subject-span match threshold"),
+            Option("word-dim", int, 200, "output word embedding size"),
+            Option("hidden", int, 600, "decoder state size"),
+            Option("learning-rate", float, TrainConfig.learning_rate, "Adam step size"),
+            Option("clip-norm", float, TrainConfig.clip_norm, "global gradient clip"),
+            Option("batch-size", int, TrainConfig.batch_size, "examples per update"),
+            Option("patience", int, TrainConfig.patience,
+                   "evaluations without improvement before stopping"),
+            Option("eval-every", int, 0, "updates between evaluations (0 = each epoch)"),
+            Option("max-steps", int, 0, "hard update limit (0 = none)"),
+            Option("max-len", int, DEFAULT_MAX_LEN,
+                   "decode length cap during validation"),
+            Option("out-dir", str, "", "directory for checkpoint/vocabularies/log", True),
+        ],
+        _cmd_train_qgen,
+    ),
+    "generate": (
+        "decode questions for a triple file",
+        [
+            Option("facts", str, "", "triple TSV to transduce", True),
+            Option("checkpoint", str, "", "trained checkpoint path", True),
+            Option("input-vocab", str, "", "input vocabulary dump", True),
+            Option("output-vocab", str, "", "output vocabulary dump", True),
+            Option("names", str, "", "optional id -> display-name TSV"),
+            Option("width", int, DEFAULT_BEAM_WIDTH, "beam width (1 = greedy)"),
+            Option("max-len", int, DEFAULT_MAX_LEN, "decode length cap"),
+            Option("output", str, "", "output TSV path", True),
+        ],
+        _cmd_generate,
+    ),
+    "evaluate": (
+        "score candidate questions against references",
+        [
+            Option("candidates", str, "", "one question per line", True),
+            Option("references", str, "", "one question per line", True),
+            Option("word-vectors", str, "", "pretrained word vectors for Emb. Greedy"),
+            Option("report", str, "", "optional per-example TSV output path"),
+        ],
+        _cmd_evaluate,
+    ),
+    "baseline": (
+        "answer facts with sampled training templates",
+        [
+            Option("train", str, "", "training question TSV", True),
+            Option("facts", str, "", "triple TSV to answer", True),
+            Option("names", str, "", "optional id -> display-name TSV"),
+            Option("threshold", float, DEFAULT_THRESHOLD, "subject-span match threshold"),
+            Option("output", str, "", "output TSV path", True),
+        ],
+        _cmd_baseline,
+    ),
+    "neighbors": (
+        "print nearest entities in embedding space",
+        [
+            Option("entity-embeddings", str, "", "entity embedding file", True),
+            Option("entity", str, "", "query entity id", True),
+            Option("k", int, 5, "neighbor count"),
+        ],
+        _cmd_neighbors,
+    ),
+    "gradcheck": (
+        "verify decoder gradients against finite differences",
+        [
+            Option("eps", float, 1e-5, "finite-difference step"),
+        ],
+        _cmd_gradcheck,
+    ),
 }
 
 
@@ -443,13 +441,13 @@ def run(argv) -> int:
         if args.command is None:
             raise UsageError("a subcommand is required "
                              f"(one of: {', '.join(SUBCOMMANDS)})")
-        cfg = _effective_config(args, SUBCOMMANDS[args.command][1])
-        return _HANDLERS[args.command](cfg)
+        _, options, handler = SUBCOMMANDS[args.command]
+        return handler(_effective_config(args, options))
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         print(parser.format_usage(), file=sys.stderr, end="")
         return 1
-    except (Fact2QuestionError, OSError, ValueError) as exc:
+    except (Fact2QuestionError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

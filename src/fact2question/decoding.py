@@ -31,11 +31,10 @@ DEFAULT_BEAM_WIDTH = 5
 
 @dataclass
 class Hypothesis:
-    """A (possibly finished) candidate question as output-vocab indices."""
+    """A candidate question as output-vocab indices; done once it ends in '?'."""
 
     tokens: tuple[int, ...]
     log_prob: float
-    finished: bool
 
 
 def worker_count() -> int:
@@ -89,7 +88,7 @@ class GenerationSession:
         enc, h0 = encode(fact, self.params, self.input_vocab)
         # live beams carry their recurrent state; finished ones do not
         beams: list[tuple[Hypothesis, np.ndarray, int]] = [
-            (Hypothesis((), 0.0, False), h0, self._bos)
+            (Hypothesis((), 0.0), h0, self._bos)
         ]
         finished: list[Hypothesis] = []
         for _ in range(self.max_len - 1):
@@ -103,28 +102,26 @@ class GenerationSession:
                 logp = log_softmax_values(step.logits)
                 for v in range(logp.shape[0]):
                     candidates.append((
-                        Hypothesis(hyp.tokens + (v,), hyp.log_prob + float(logp[v]),
-                                   v == self._qmark),
+                        Hypothesis(hyp.tokens + (v,), hyp.log_prob + float(logp[v])),
                         h_new,
                     ))
             candidates.sort(key=lambda c: (-c[0].log_prob, c[0].tokens))
             beams = []
             for hyp, h_new in candidates[:width]:
-                if hyp.finished:
+                if hyp.tokens[-1] == self._qmark:
                     finished.append(hyp)
                 else:
                     beams.append((hyp, h_new, hyp.tokens[-1]))
         # out of steps: force-terminate survivors with an unscored '?'
         for hyp, _, _ in beams:
-            finished.append(Hypothesis(hyp.tokens + (self._qmark,), hyp.log_prob, True))
+            finished.append(Hypothesis(hyp.tokens + (self._qmark,), hyp.log_prob))
         finished.sort(key=lambda hyp: (-hyp.log_prob, hyp.tokens))
         return finished[:width]
 
     def to_words(self, indices: Iterable[int], fact: Fact) -> list[str]:
         """Map indices to tokens and substitute the subject for placeholders."""
         tokens = [self.output_vocab.token(i) for i in indices]
-        words, _ = restore(tokens, subject_text(fact, self.names))
-        return words
+        return restore(tokens, subject_text(fact, self.names))
 
     def greedy(self, fact: Fact) -> list[str]:
         return self.to_words(self.greedy_indices(fact), fact)

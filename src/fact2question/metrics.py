@@ -32,6 +32,7 @@ from .errors import ContractError
 from .porter import stem
 
 BLEU_EPSILON = 1e-9
+BLEU_MAX_N = 4
 _ALIGN_BUDGET = 20000
 
 
@@ -53,27 +54,27 @@ def _clipped_matches(candidate: Sequence[str], reference: Sequence[str],
     return sum(min(v, ref[g]) for g, v in cand.items()), sum(cand.values())
 
 
-def sentence_precisions(candidate: Sequence[str], reference: Sequence[str],
-                        max_n: int = 4) -> tuple[float, ...]:
+def sentence_precisions(candidate: Sequence[str],
+                        reference: Sequence[str]) -> tuple[float, ...]:
     """Per-sentence modified n-gram precisions (0.0 when no n-grams fit);
     report decoration only, the corpus score pools counts instead."""
     out = []
-    for n in range(1, max_n + 1):
+    for n in range(1, BLEU_MAX_N + 1):
         matched, total = _clipped_matches(candidate, reference, n)
         out.append(matched / total if total else 0.0)
     return tuple(out)
 
 
-def bleu(candidates: Sequence[Sequence[str]], references: Sequence[Sequence[str]],
-         max_n: int = 4) -> float:
+def bleu(candidates: Sequence[Sequence[str]],
+         references: Sequence[Sequence[str]]) -> float:
     """Corpus BLEU in [0, 100]: geometric mean of pooled modified n-gram
     precisions (uniform weights) times the brevity penalty."""
     if not candidates:
         raise ContractError("bleu: empty corpus")
     if len(candidates) != len(references):
         raise ContractError("bleu: candidate/reference lists differ in length")
-    matched = [0] * max_n
-    total = [0] * max_n
+    matched = [0] * BLEU_MAX_N
+    total = [0] * BLEU_MAX_N
     cand_len = 0
     ref_len = 0
     for cand, ref in zip(candidates, references):
@@ -81,19 +82,19 @@ def bleu(candidates: Sequence[Sequence[str]], references: Sequence[Sequence[str]
             raise ContractError("bleu: empty sentence")
         cand_len += len(cand)
         ref_len += len(ref)
-        for n in range(1, max_n + 1):
+        for n in range(1, BLEU_MAX_N + 1):
             hits, count = _clipped_matches(cand, ref, n)
             matched[n - 1] += hits
             total[n - 1] += count
     log_sum = 0.0
-    for n in range(max_n):
+    for n in range(BLEU_MAX_N):
         if total[n] == 0:
             p = BLEU_EPSILON
         else:
             p = (matched[n] if matched[n] > 0 else BLEU_EPSILON) / total[n]
         log_sum += math.log(p)
     brevity = 1.0 if cand_len > ref_len else math.exp(1.0 - ref_len / cand_len)
-    return 100.0 * brevity * math.exp(log_sum / max_n)
+    return 100.0 * brevity * math.exp(log_sum / BLEU_MAX_N)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +279,7 @@ def embedding_greedy(candidate: Sequence[str], reference: Sequence[str],
 # ---------------------------------------------------------------------------
 
 REPORT_NOTES = (
-    "BLEU: corpus-level, n=1..4 uniform weights, add-epsilon smoothing "
+    f"BLEU: corpus-level, n=1..{BLEU_MAX_N} uniform weights, add-epsilon smoothing "
     f"({BLEU_EPSILON:g}) for zero n-gram counts",
     "METEOR-lite: exact + Porter stem matching only; not comparable to "
     "WordNet-based METEOR scores",
@@ -318,7 +319,7 @@ class MetricReport:
             for line in self.summary_lines():
                 fh.write(line + "\n")
             fh.write("candidate\treference\t"
-                     + "\t".join(f"p{n}" for n in range(1, 5))
+                     + "\t".join(f"p{n}" for n in range(1, BLEU_MAX_N + 1))
                      + "\tmeteor-lite\temb-greedy\n")
             for ex in self.examples:
                 emb = "" if ex.emb_greedy is None else f"{ex.emb_greedy:.4f}"

@@ -82,7 +82,6 @@ class PlaceholderizedQuestion:
     fact: Fact
     tokens: tuple[str, ...]
     span: tuple[int, int]
-    mode: str
     subject: str
     score: float
     category: str | None = None
@@ -91,8 +90,6 @@ class PlaceholderizedQuestion:
         n = sum(1 for t in self.tokens if is_placeholder(t))
         if n != 1:
             raise ContractError(f"expected exactly one placeholder token, got {n}")
-        if (self.category is not None) != (self.mode == "mp"):
-            raise ContractError("category must be set exactly when mode is 'mp'")
 
 
 @dataclass
@@ -191,8 +188,8 @@ def placeholderize(
         token = SP_TOKEN
     tokens = pair.question_tokens[:start] + (token,) + pair.question_tokens[end:]
     return PlaceholderizedQuestion(
-        fact=pair.fact, tokens=tokens, span=(start, end), mode=mode,
-        subject=subject, score=score, category=category,
+        fact=pair.fact, tokens=tokens, span=(start, end), subject=subject,
+        score=score, category=category,
     )
 
 
@@ -217,19 +214,15 @@ def placeholderize_corpus(
     return kept, dropped
 
 
-def restore(tokens: Iterable[str], subject_string: str) -> tuple[list[str], bool]:
-    """Replace every placeholder token with the tokenized subject string.
-
-    Returns (tokens, found) where found is False when there was nothing
-    to replace (the generated question legitimately omitted it).
-    """
+def restore(tokens: Iterable[str], subject_string: str) -> list[str]:
+    """Replace every placeholder token with the tokenized subject string;
+    a question without one (a generated question may omit it) comes back
+    unchanged."""
     subject_tokens = tokenize_phrase(subject_string)
     out: list[str] = []
-    found = False
     for tok in tokens:
         if is_placeholder(tok):
             out.extend(subject_tokens)
-            found = True
         else:
             out.append(tok)
-    return out, found
+    return out

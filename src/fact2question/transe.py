@@ -4,8 +4,8 @@ A triple (s, r, o) is scored by the Euclidean norm of e_s + e_r - e_o;
 training pushes true triples below corrupted ones by a margin.  Entity
 rows are projected into the unit ball at initialization and after every
 epoch.  The per-epoch SGD loop is kernels.transe_epoch, which updates
-the tables in place one triple at a time; an epoch that leaves a
-non-finite row stops training with a NumericError.
+the tables in place one triple at a time; an epoch that leaves a row
+whose squared norm is not finite stops training with a NumericError.
 """
 
 from __future__ import annotations
@@ -159,13 +159,17 @@ def train_transe(triples: Iterable[Fact], config: TransEConfig) -> TransEModel:
         order = rng.permutation(n).astype(np.int64)
         corrupt_tail = rng.integers(0, 2, size=n).astype(np.uint8)
         neg_ent = rng.integers(0, len(entity_ids), size=n).astype(np.int64)
-        loss = kernels.transe_epoch(entities, relationships, s_idx, r_idx, o_idx,
-                                    order, corrupt_tail, neg_ent,
-                                    config.learning_rate, config.margin)
-        _project_to_unit_ball(entities)
-        if not (np.isfinite(entities).all() and np.isfinite(relationships).all()):
-            raise NumericError(f"TransE epoch {epoch + 1} left non-finite embeddings "
-                               f"(learning rate {config.learning_rate})")
+        # the NumericError below reports an overflow, so numpy need not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss = kernels.transe_epoch(entities, relationships, s_idx, r_idx, o_idx,
+                                        order, corrupt_tail, neg_ent,
+                                        config.learning_rate, config.margin)
+            # checked first: the projection zeroes a row whose squared norm is inf
+            if not all(np.isfinite(np.sum(t * t, axis=1)).all()
+                       for t in (entities, relationships)):
+                raise NumericError(f"TransE epoch {epoch + 1} left non-finite "
+                                   f"embeddings (learning rate {config.learning_rate})")
+            _project_to_unit_ball(entities)
         log.debug("epoch %d: hinge loss %.4f", epoch + 1, loss)
 
     return TransEModel(entity_ids, relationship_ids, entities, relationships)

@@ -140,7 +140,7 @@ def test_criterion_5_placeholder_round_trip():
                   tuple(tokenize("Which forest is Fires Creek in?")))
     ph = placeholderize(pair, mode="sp")
     ok = sum(1 for t in ph.tokens if is_placeholder(t)) == 1
-    restored, _ = restore(ph.tokens, subject_text(pair.fact))
+    restored = restore(ph.tokens, subject_text(pair.fact))
     ok &= " ".join(restored) == "which forest is fires creek in ?"
 
     # 500-pair fixture: every perfect-span pair must round-trip exactly
@@ -161,7 +161,7 @@ def test_criterion_5_placeholder_round_trip():
         result = placeholderize(p, mode="sp")
         if result.score == 1.0:
             checked += 1
-            restored, _ = restore(result.tokens, subject_text(p.fact))
+            restored = restore(result.tokens, subject_text(p.fact))
             ok &= restored == list(tokens)
     print(f"  {checked}/500 fixture pairs had perfect spans; all round-tripped")
     ok &= checked > 0
@@ -179,7 +179,7 @@ def test_criterion_6_baseline_contract():
                               tuple(tokenize("what country is lyon located in?")))),
     ]
     index = build_template_index(templates)
-    template_tokens = {t for tmpl in index.by_relationship[
+    template_tokens = {t for tmpl in index[
         "location/location/contained_by"] for t in tmpl}
     fact = Fact("bayuvi_dupki", "location/location/contained_by", "europe")
 

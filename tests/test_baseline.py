@@ -2,7 +2,7 @@ import pytest
 
 from fact2question.baseline import build_template_index, sample_question
 from fact2question.data import Fact, QAPair, tokenize
-from fact2question.errors import ContractError, UnseenRelationshipError
+from fact2question.errors import UnseenRelationshipError
 from fact2question.placeholders import placeholderize
 
 
@@ -14,8 +14,8 @@ def _ph(subject, relationship, question):
 def test_build_index_single_pair():
     index = build_template_index([_ph("fires_creek", "contained_by",
                                       "which forest is fires creek in?")])
-    assert set(index.by_relationship) == {"contained_by"}
-    assert len(index.by_relationship["contained_by"]) == 1
+    assert set(index) == {"contained_by"}
+    assert len(index["contained_by"]) == 1
 
 
 def test_build_index_groups_by_relationship_keeping_duplicates():
@@ -26,25 +26,17 @@ def test_build_index_groups_by_relationship_keeping_duplicates():
         _ph("rome", "contained_by", "where is rome?"),
     ]
     index = build_template_index(phs)
-    assert len(index.by_relationship["contained_by"]) == 3
-    assert len(index.by_relationship["profession"]) == 1
+    assert len(index["contained_by"]) == 3
+    assert len(index["profession"]) == 1
     # "where is <placeholder> ?" appears three times: duplicates retained
-    assert len(set(index.by_relationship["contained_by"])) == 1
+    assert len(set(index["contained_by"])) == 1
 
 
 def test_build_index_count_matches_surviving_pairs():
     questions = [(f"thing_{i}", "rel/type/prop", f"what is thing {i}?")
                  for i in range(25)]
     index = build_template_index([_ph(*q) for q in questions])
-    assert len(index.by_relationship["rel/type/prop"]) == 25
-
-
-def test_build_index_rejects_bad_templates():
-    with pytest.raises(ContractError):
-        build_template_index([
-            type("Fake", (), {"fact": Fact("a", "r", "b"),
-                              "tokens": ("no", "marker", "?")})()
-        ])
+    assert len(index["rel/type/prop"]) == 25
 
 
 def test_sample_single_template_is_deterministic():
@@ -72,7 +64,7 @@ def test_sample_contains_subject_contiguously_and_template_tokens_only():
         _ph("lyon", "contained_by", "what country is lyon located in?"),
     ]
     index = build_template_index(phs)
-    template_tokens = {tok for tmpl in index.by_relationship["contained_by"]
+    template_tokens = {tok for tmpl in index["contained_by"]
                        for tok in tmpl}
     fact = Fact("bayuvi_dupki", "contained_by", "europe")
     subject = ["bayuvi", "dupki"]

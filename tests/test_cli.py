@@ -348,6 +348,53 @@ def test_train_transe_non_finite_settings_exit_two(toy_files, capsys, flag, valu
     assert not ent.exists() and not rel.exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_train_transe_overflow_prints_no_numpy_warning(toy_files, capsys):
+    d = toy_files["dir"]
+    ent, rel = d / "e8.txt", d / "r8.txt"
+    assert run(["train-transe", "--questions", str(toy_files["train"]),
+                "--dim", "4", "--epochs", "5", "--learning-rate", "1e300",
+                "--out-entities", str(ent), "--out-relations", str(rel)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: TransE epoch 1 left non-finite embeddings (learning rate 1e+300)\n"
+    assert "RuntimeWarning" not in err
+    assert not ent.exists() and not rel.exists()
+
+
+def test_train_transe_allocation_failure_exits_two(toy_files, capsys):
+    # petabytes, past a 47-bit address space: the allocation cannot succeed
+    d = toy_files["dir"]
+    ent, rel = d / "e9.txt", d / "r9.txt"
+    assert run(["train-transe", "--questions", str(toy_files["train"]),
+                "--dim", str(10 ** 13), "--epochs", "1",
+                "--out-entities", str(ent), "--out-relations", str(rel)]) == 2
+    assert capsys.readouterr().err.startswith("error: Unable to allocate")
+    assert not ent.exists() and not rel.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--hidden", str(10 ** 13), "error: Unable to allocate"),  # ~291 TiB
+    ("--max-len", "0", "error: max_len must be >= 1, got 0\n"),
+], ids=["hidden-allocation", "max-len-zero"])
+def test_train_qgen_rejected_before_training_leaves_no_out_dir(toy_files, capsys, flag,
+                                                               value, message):
+    d = toy_files["dir"]
+    ent, rel = d / "e10.txt", d / "r10.txt"
+    assert run(["train-transe", "--questions",
+                f"{toy_files['train']},{toy_files['valid']}",
+                "--dim", "4", "--epochs", "1", "--seed", "0",
+                "--out-entities", str(ent), "--out-relations", str(rel)]) == 0
+    capsys.readouterr()
+    out_dir = d / "model10"
+    assert run(["train-qgen", "--train", str(toy_files["train"]),
+                "--valid", str(toy_files["valid"]),
+                "--entity-embeddings", str(ent), "--relationship-embeddings", str(rel),
+                "--word-dim", "4", "--hidden", "4", "--max-steps", "1", flag, value,
+                "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "1.5", "-0.1"])
 def test_baseline_bad_threshold_exits_two(toy_files, capsys, value):
     out = toy_files["dir"] / "baseline.tsv"

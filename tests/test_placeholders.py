@@ -11,6 +11,7 @@ from fact2question.data import Fact, QAPair, read_tsv, tokenize, tokenize_phrase
 from fact2question.errors import ContractError, NoSubjectSpanError
 from fact2question.placeholders import (
     SP_TOKEN,
+    PlaceholderizedQuestion,
     build_category_map,
     category_token,
     find_subject_span,
@@ -201,36 +202,36 @@ def test_placeholderize_output_has_exactly_one_placeholder():
     assert sum(1 for t in ph.tokens if is_placeholder(t)) == 1
 
 
+@pytest.mark.parametrize("tokens", [
+    ("no", "marker", "?"),
+    (SP_TOKEN, "and", "<place placeholder>", "?"),
+], ids=["zero", "two"])
+def test_placeholderized_question_needs_exactly_one_placeholder(tokens):
+    with pytest.raises(ContractError, match="exactly one placeholder token"):
+        PlaceholderizedQuestion(fact=Fact("a", "r", "b"), tokens=tokens, span=(0, 1),
+                                subject="a", score=1.0)
+
+
 def test_restore_round_trip_paper_example():
     ph = placeholderize(FOREST_PAIR, mode="sp")
-    tokens, found = restore(ph.tokens, "fires creek")
-    assert tokens == FOREST_TOKENS
-    assert found
+    assert restore(ph.tokens, "fires creek") == FOREST_TOKENS
 
 
 def test_restore_single_token_question():
-    tokens, found = restore([SP_TOKEN, "?"], "paris")
-    assert tokens == ["paris", "?"]
-    assert found
+    assert restore([SP_TOKEN, "?"], "paris") == ["paris", "?"]
 
 
 def test_restore_replaces_every_placeholder():
-    tokens, found = restore([SP_TOKEN, "and", SP_TOKEN, "?"], "bob")
-    assert tokens == ["bob", "and", "bob", "?"]
-    assert found
+    assert restore([SP_TOKEN, "and", SP_TOKEN, "?"], "bob") == ["bob", "and", "bob", "?"]
 
 
-def test_restore_without_placeholder_flags_it():
-    tokens, found = restore(["what", "is", "x", "?"], "bob")
-    assert tokens == ["what", "is", "x", "?"]
-    assert not found
+def test_restore_without_placeholder_returns_tokens_unchanged():
+    assert restore(["what", "is", "x", "?"], "bob") == ["what", "is", "x", "?"]
 
 
 def test_restore_handles_mp_tokens():
-    tokens, found = restore(["which", "forest", "is", "<location placeholder>",
-                             "in", "?"], "fires creek")
-    assert tokens == FOREST_TOKENS
-    assert found
+    assert restore(["which", "forest", "is", "<location placeholder>", "in", "?"],
+                   "fires creek") == FOREST_TOKENS
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -248,8 +249,7 @@ def test_round_trip_property_for_perfect_spans(seed):
         pair = QAPair(Fact(subject, "d/t/p", "obj"), tokens)
         ph = placeholderize(pair)
         if ph.score == 1.0:
-            restored, _ = restore(ph.tokens, subject_text(pair.fact))
-            assert restored == list(tokens)
+            assert restore(ph.tokens, subject_text(pair.fact)) == list(tokens)
 
 
 def test_subject_type_segment_extraction():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fact2question import transe
 from fact2question.data import Fact
 from fact2question.errors import ContractError, NumericError, ParseError, UnknownIdError
 from fact2question.transe import (
@@ -68,16 +69,47 @@ def test_config_rejects_infinite_rate_and_margin(setting, message):
         TransEConfig(**setting)
 
 
-@pytest.mark.parametrize("n_triples, seed, epoch", [(40, 0, 1), (8, 1, 2)])
+@pytest.mark.parametrize("n_triples, seed, epoch", [(40, 0, 1), (8, 1, 1)])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_overflowing_rate_names_the_epoch(n_triples, seed, epoch):
     # at dim 1 each gradient is +-1, so rel[r] moves by lr * 2 = inf once
-    # a violating triple's true and corrupted residuals differ in sign
+    # a violating triple's true and corrupted residuals differ in sign; a
+    # row that stays finite has a squared norm past the float range
     triples = [Fact(f"e{i}", "r", f"e{i + 1}") for i in range(n_triples)]
     config = TransEConfig(dim=1, epochs=3, learning_rate=1.7e308, seed=seed)
     with pytest.raises(NumericError,
                        match=f"^TransE epoch {epoch} left non-finite embeddings"):
         train_transe(triples, config)
+
+
+@pytest.mark.parametrize("dim, n_triples, learning_rate, seed, epoch", [
+    (4, 40, 1e300, 0, 1),   # finite rows that the projection used to zero
+    (1, 8, 1e154, 0, 2),
+    (1, 8, 1e154, 2, 3),
+])
+@pytest.mark.filterwarnings("error")
+def test_train_squared_norm_overflow_names_the_epoch_without_warnings(
+        dim, n_triples, learning_rate, seed, epoch):
+    triples = [Fact(f"e{i}", "r", f"e{i + 1}") for i in range(n_triples)]
+    config = TransEConfig(dim=dim, epochs=5, learning_rate=learning_rate, seed=seed)
+    with pytest.raises(NumericError,
+                       match=f"^TransE epoch {epoch} left non-finite embeddings"):
+        train_transe(triples, config)
+
+
+def test_train_projects_once_after_init_and_once_per_epoch(monkeypatch):
+    # perfbench delimits TransE epochs by these calls
+    calls = []
+    project = transe._project_to_unit_ball
+
+    def counting_project(rows):
+        calls.append(rows.shape)
+        project(rows)
+
+    monkeypatch.setattr(transe, "_project_to_unit_ball", counting_project)
+    triples = [Fact(f"e{i}", "r", f"e{i + 1}") for i in range(5)]
+    train_transe(triples, TransEConfig(dim=3, epochs=4, seed=0))
+    assert calls == [(6, 3)] * 5
 
 
 def test_train_empty_triples_rejected():
