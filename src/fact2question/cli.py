@@ -370,8 +370,9 @@ SUBCOMMANDS: dict[str, tuple[str, list[Option], Callable[[dict], int]]] = {
             Option("batch-size", int, TrainConfig.batch_size, "examples per update"),
             Option("patience", int, TrainConfig.patience,
                    "evaluations without improvement before stopping"),
-            Option("eval-every", int, 0, "updates between evaluations (0 = each epoch)"),
-            Option("max-steps", int, 0, "hard update limit (0 = none)"),
+            Option("eval-every", int, TrainConfig.eval_every,
+                   "updates between evaluations (0 = each epoch)"),
+            Option("max-steps", int, TrainConfig.max_steps, "hard update limit (0 = none)"),
             Option("max-len", int, DEFAULT_MAX_LEN,
                    "decode length cap during validation"),
             Option("out-dir", str, "", "directory for checkpoint/vocabularies/log", True),

@@ -123,9 +123,6 @@ class GenerationSession:
         tokens = [self.output_vocab.token(i) for i in indices]
         return restore(tokens, subject_text(fact, self.names))
 
-    def greedy(self, fact: Fact) -> list[str]:
-        return self.to_words(self.greedy_indices(fact), fact)
-
 
 def generate_corpus(facts_path, session: GenerationSession, output_path,
                     width: int = DEFAULT_BEAM_WIDTH) -> tuple[int, int]:

@@ -168,12 +168,14 @@ def placeholderize(
 ) -> PlaceholderizedQuestion:
     """Replace the subject span of a question with a placeholder token.
 
-    Raises NoSubjectSpanError when the best span scores below threshold;
-    callers drop (and count) such pairs.  A threshold outside [0, 1]
-    raises ContractError.
+    Raises NoSubjectSpanError, which callers drop and count, when the
+    question is only '?', the subject text is blank, or the best span
+    scores below threshold; a threshold outside [0, 1] raises ContractError.
     """
     _check_options(mode, category_map, threshold)
     subject = subject_text(pair.fact, names)
+    if pair.question_tokens == (QMARK,) or not subject.strip():
+        raise NoSubjectSpanError(f"nothing to match for subject {subject!r}")
     start, end, score = find_subject_span(list(pair.question_tokens), subject)
     if score < threshold:
         raise NoSubjectSpanError(

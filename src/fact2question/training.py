@@ -1,13 +1,13 @@
 """Decoder training: Adam on the token NLL with gradient clipping and
 early stopping with patience on the validation question-match score.
 
-Each example's log-likelihood is one fused tape node
-(model.sequence_log_likelihood) whose parents are the weight arrays in
-QGenParams.tensors, differentiated by one backprop() call.  The gradients
-are summed over the batch in fixed example order and negated once, so a
-run is deterministic for a given seed.  The batch loss is the summed token
-NLL divided by the batch token count, i.e. mean NLL per token.  Adam
-updates the weight arrays in place.
+train() is one loop over shuffled batches.  Each example's log-likelihood
+is one fused tape node (model.sequence_log_likelihood) over the weight
+arrays in QGenParams.tensors, differentiated by one backprop() call; the
+batch sums the gradients in place in example order and negates them once,
+so a seed fixes the run.  The loss is mean NLL per token.  A NumericError
+or TrainingDivergedError in any update or validation pass restores the
+best checkpoint and raises TrainingDivergedError.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ ADAM_EPS = 1e-8
 
 
 def clip_gradients(grads: dict[str, np.ndarray],
-                   max_norm: float = 0.1) -> dict[str, np.ndarray]:
+                   max_norm: float) -> dict[str, np.ndarray]:
     """Scale the whole gradient set down when its global L2 norm exceeds
     max_norm; otherwise return it unchanged."""
     if max_norm <= 0:
@@ -54,7 +54,7 @@ def clip_gradients(grads: dict[str, np.ndarray],
 class AdamState:
     """First/second moment accumulators and the step counter."""
 
-    learning_rate: float = 0.00025
+    learning_rate: float
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -80,27 +80,6 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
 
 
 @dataclass
-class EarlyStopState:
-    """Best validation score and evaluations since it improved."""
-
-    patience: int
-    best: float = -np.inf
-    since_improvement: int = 0
-
-    def update(self, score: float) -> bool:
-        """Record one evaluation; True when it improved the best score."""
-        if score > self.best:
-            self.best = score
-            self.since_improvement = 0
-            return True
-        self.since_improvement += 1
-        return False
-
-    def should_stop(self) -> bool:
-        return self.since_improvement >= self.patience
-
-
-@dataclass
 class TrainConfig:
     learning_rate: float = 0.00025
     clip_norm: float = 0.1
@@ -113,6 +92,8 @@ class TrainConfig:
     def __post_init__(self):
         if not self.learning_rate >= 0:
             raise ContractError(f"learning rate must be >= 0, got {self.learning_rate}")
+        if not np.isfinite(self.learning_rate):
+            raise ContractError(f"learning rate must be finite, got {self.learning_rate}")
         if not self.clip_norm > 0:
             raise ContractError(f"clip norm must be positive, got {self.clip_norm}")
         if self.batch_size < 1:
@@ -133,14 +114,6 @@ class TrainResult:
     steps: int
 
 
-def _example_gradients(fact, tokens, params: QGenParams, input_vocab, output_vocab):
-    """Per-example log-likelihood and its gradients."""
-    with Tape() as tape:
-        tape.watch(params.tensors)
-        ll = sequence_log_likelihood(fact, tokens, params, input_vocab, output_vocab)
-    return ll.item(), backprop(tape, ll)
-
-
 def train(
     train_pairs: list[tuple[QAPair, PlaceholderizedQuestion]],
     valid_pairs: list[tuple[QAPair, PlaceholderizedQuestion]],
@@ -154,8 +127,9 @@ def train(
 
     score_fn(params) -> float scores the validation set (by default
     evaluation.validation_scorer: mean METEOR-lite of greedily decoded
-    questions against their references).  Raises TrainingDivergedError on
-    NaN loss, with the best checkpoint attached.
+    questions against their references).  A NumericError or
+    TrainingDivergedError in any update or validation pass raises
+    TrainingDivergedError, with the best checkpoint restored and attached.
     """
     if not train_pairs:
         raise ContractError("train: empty training set")
@@ -163,78 +137,73 @@ def train(
         score_fn = validation_scorer(valid_pairs, input_vocab, output_vocab)
 
     rng = np.random.default_rng(config.seed)
-    adam = AdamState(learning_rate=config.learning_rate)
-    stopper = EarlyStopState(patience=config.patience)
-    steps_per_epoch = max(1, -(-len(train_pairs) // config.batch_size))
-    eval_every = config.eval_every or steps_per_epoch
+    adam = AdamState(config.learning_rate)
+    eval_every = config.eval_every or -(-len(train_pairs) // config.batch_size)
 
     log_lines: list[str] = []
     best_values = params.copy_values()
+    best, since_improvement = -np.inf, 0
     start = time.perf_counter()
     step = 0
     recent_nll: list[float] = []
 
-    def evaluate() -> bool:
+    def batches():
+        while True:
+            order = rng.permutation(len(train_pairs))
+            for lo in range(0, len(order), config.batch_size):
+                yield [train_pairs[i][1] for i in order[lo:lo + config.batch_size]]
+
+    def evaluate() -> None:
+        nonlocal best, since_improvement
         score = score_fn(params)
-        snapshot = score >= stopper.best  # ties keep the newer checkpoint
-        improved = stopper.update(score)
-        if snapshot:
+        if score >= best:  # a tie keeps the newer checkpoint but is no improvement
             best_values.update(params.copy_values())
+        if score > best:
+            best, since_improvement = score, 0
+        else:
+            since_improvement += 1
         train_nll = float(np.mean(recent_nll)) if recent_nll else float("nan")
         recent_nll.clear()
         wall = time.perf_counter() - start
         log_lines.append(f"{step}\t{train_nll:.6f}\t{score:.4f}\t{wall:.3f}")
         log.info("step %d: train nll/token %.4f, valid score %.4f%s",
-                 step, train_nll, score, " *" if improved else "")
-        return improved
+                 step, train_nll, score, " *" if since_improvement == 0 else "")
 
-    stop = False
-    while not stop:
-        order = rng.permutation(len(train_pairs))
-        for lo in range(0, len(order), config.batch_size):
-            batch = [train_pairs[i] for i in order[lo:lo + config.batch_size]]
-            total_tokens = sum(len(ph.tokens) for _, ph in batch)
-            summed: dict[str, np.ndarray] | None = None
+    try:
+        for batch in batches():
+            summed: dict[str, np.ndarray] = {}
             batch_ll = 0.0
-            try:
-                for _, ph in batch:
-                    ll, grads = _example_gradients(ph.fact, list(ph.tokens),
-                                                   params, input_vocab,
-                                                   output_vocab)
-                    batch_ll += ll
-                    if summed is None:
-                        summed = grads
+            for ph in batch:
+                with Tape() as tape:
+                    tape.watch(params.tensors)
+                    ll = sequence_log_likelihood(ph.fact, list(ph.tokens), params,
+                                                 input_vocab, output_vocab)
+                batch_ll += ll.item()
+                for name, g in backprop(tape, ll).items():
+                    if name in summed:
+                        summed[name] += g
                     else:
-                        for name in summed:
-                            summed[name] += grads[name]
-                if not np.isfinite(batch_ll):
-                    raise NumericError("non-finite training loss")
-                # the NLL's gradient: negation is exact, so negating the
-                # sum equals summing the negated gradients bit for bit
-                scaled = {name: g / -total_tokens for name, g in summed.items()}
-                adam_step(params.tensors, clip_gradients(scaled, config.clip_norm),
-                          adam)
-            except (NumericError, TrainingDivergedError) as exc:
-                params.load_values(best_values)
-                raise TrainingDivergedError(
-                    f"training diverged at step {step}: {exc}",
-                    checkpoint=params, log_lines=log_lines,
-                ) from exc
-            loss = -batch_ll / total_tokens
+                        summed[name] = g
+            if not np.isfinite(batch_ll):
+                raise NumericError("non-finite training loss")
+            total_tokens = sum(len(ph.tokens) for ph in batch)
+            # the NLL's gradient: negation is exact, so negating the sum
+            # equals summing the negated gradients bit for bit
+            scaled = {name: g / -total_tokens for name, g in summed.items()}
+            adam_step(params.tensors, clip_gradients(scaled, config.clip_norm), adam)
             step += 1
-            recent_nll.append(loss)
-
+            recent_nll.append(-batch_ll / total_tokens)
             if step % eval_every == 0:
                 evaluate()
-                if stopper.should_stop():
-                    stop = True
+                if since_improvement >= config.patience:
                     break
             if config.max_steps and step >= config.max_steps:
-                stop = True
                 break
-
-    if step % eval_every != 0:
-        evaluate()
+        if step % eval_every != 0:
+            evaluate()
+    except (NumericError, TrainingDivergedError) as exc:
+        params.load_values(best_values)
+        raise TrainingDivergedError(f"training diverged at step {step}: {exc}",
+                                    checkpoint=params, log_lines=log_lines) from exc
     params.load_values(best_values)
-    return TrainResult(params=params, log_lines=log_lines,
-                       best_score=stopper.best, steps=step)
+    return TrainResult(params=params, log_lines=log_lines, best_score=best, steps=step)

@@ -167,8 +167,9 @@ def train_transe(triples: Iterable[Fact], config: TransEConfig) -> TransEModel:
             # checked first: the projection zeroes a row whose squared norm is inf
             if not all(np.isfinite(np.sum(t * t, axis=1)).all()
                        for t in (entities, relationships)):
-                raise NumericError(f"TransE epoch {epoch + 1} left non-finite "
-                                   f"embeddings (learning rate {config.learning_rate})")
+                raise NumericError(f"TransE epoch {epoch + 1} left an embedding whose "
+                                   f"squared norm is not finite (learning rate "
+                                   f"{config.learning_rate})")
             _project_to_unit_ball(entities)
         log.debug("epoch %d: hinge loss %.4f", epoch + 1, loss)
 

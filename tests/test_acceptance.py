@@ -78,7 +78,8 @@ def test_criterion_2_toy_overfit():
     session = GenerationSession(result.params, input_vocab, output_vocab,
                                 max_len=12)
     exact = sum(1 for pair, _ in prepared
-                if session.greedy(pair.fact) == list(pair.question_tokens))
+                if session.to_words(session.greedy_indices(pair.fact), pair.fact)
+                == list(pair.question_tokens))
     elapsed = time.perf_counter() - started
     print(f"  nll/token {nll_per_token:.4f}, reproduced {exact}/20, "
           f"{elapsed:.0f}s")
@@ -313,6 +314,9 @@ def test_criterion_9_cli_determinism(tmp_path):
             "checkpoint": (model_dir / "checkpoint.bin").read_bytes(),
             "input_vocab": (model_dir / "input_vocab.tsv").read_bytes(),
             "output_vocab": (model_dir / "output_vocab.tsv").read_bytes(),
+            # every column but the last, wall-seconds
+            "train_log": [line.rsplit("\t", 1)[0] for line in
+                          (model_dir / "train_log.tsv").read_text("utf-8").splitlines()],
             "corpus": corpus.read_bytes(),
             "baseline": baseline_out.read_bytes(),
             "report": report.read_bytes(),

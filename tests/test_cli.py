@@ -293,13 +293,14 @@ def test_train_qgen_negative_max_steps_exits_two(toy_files, capsys):
 
 @pytest.mark.parametrize("flag, value, message", [
     ("--learning-rate", "-1", "learning rate must be >= 0, got -1.0"),
+    ("--learning-rate", "inf", "learning rate must be finite, got inf"),
     ("--clip-norm", "0", "clip norm must be positive, got 0.0"),
     ("--hidden", "0", "hidden must be >= 1, got 0"),
     ("--word-dim", "-1", "d_dec must be >= 1, got -1"),
     ("--threshold", "nan", "threshold must be in [0, 1], got nan"),
     ("--threshold", "1.5", "threshold must be in [0, 1], got 1.5"),
-], ids=["learning-rate", "clip-norm", "hidden", "word-dim", "threshold-nan",
-        "threshold-above-one"])
+], ids=["learning-rate", "learning-rate-inf", "clip-norm", "hidden", "word-dim",
+        "threshold-nan", "threshold-above-one"])
 def test_train_qgen_bad_settings_exit_two(toy_files, capsys, flag, value, message):
     d = toy_files["dir"]
     ent, rel = d / "e5.txt", d / "r5.txt"
@@ -335,7 +336,8 @@ def test_train_transe_bad_settings_exit_two(toy_files, capsys, flag, value, mess
     ("--learning-rate", "inf", "learning rate must be finite, got inf"),
     ("--margin", "inf", "margin must be finite, got inf"),
     ("--learning-rate", "1e308",
-     "TransE epoch 1 left non-finite embeddings (learning rate 1e+308)"),
+     "TransE epoch 1 left an embedding whose squared norm is not finite "
+     "(learning rate 1e+308)"),
 ], ids=["learning-rate-inf", "margin-inf", "learning-rate-overflow"])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_transe_non_finite_settings_exit_two(toy_files, capsys, flag, value, message):
@@ -356,7 +358,8 @@ def test_train_transe_overflow_prints_no_numpy_warning(toy_files, capsys):
                 "--dim", "4", "--epochs", "5", "--learning-rate", "1e300",
                 "--out-entities", str(ent), "--out-relations", str(rel)]) == 2
     err = capsys.readouterr().err
-    assert err == "error: TransE epoch 1 left non-finite embeddings (learning rate 1e+300)\n"
+    assert err == ("error: TransE epoch 1 left an embedding whose squared norm is not "
+                   "finite (learning rate 1e+300)\n")
     assert "RuntimeWarning" not in err
     assert not ent.exists() and not rel.exists()
 
@@ -393,6 +396,54 @@ def test_train_qgen_rejected_before_training_leaves_no_out_dir(toy_files, capsys
                 "--out-dir", str(out_dir)]) == 2
     assert capsys.readouterr().err.startswith(message)
     assert not out_dir.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_qgen_numeric_fault_in_validation_keeps_the_best_checkpoint(toy_files,
+                                                                         caplog):
+    # one Adam step at learning rate 1e308 throws the weights out of range,
+    # so the validation pass after it meets a non-finite fact encoding
+    d = toy_files["dir"]
+    ent, rel = d / "e11.txt", d / "r11.txt"
+    assert run(["train-transe", "--questions",
+                f"{toy_files['train']},{toy_files['valid']}",
+                "--dim", "4", "--epochs", "1", "--seed", "0",
+                "--out-entities", str(ent), "--out-relations", str(rel)]) == 0
+    out_dir = d / "model11"
+    with caplog.at_level("ERROR"):
+        assert run(["train-qgen", "--train", str(toy_files["train"]),
+                    "--valid", str(toy_files["valid"]),
+                    "--entity-embeddings", str(ent), "--relationship-embeddings", str(rel),
+                    "--word-dim", "4", "--hidden", "4", "--learning-rate", "1e308",
+                    "--max-steps", "1", "--out-dir", str(out_dir)]) == 0
+    assert any(m.startswith("training diverged: training diverged at step 1: ")
+               for m in caplog.messages)
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "checkpoint.bin", "input_vocab.tsv", "output_vocab.tsv", "train_log.tsv"]
+    assert (out_dir / "train_log.tsv").read_text(encoding="utf-8") == (
+        "step\ttrain-nll\tvalid-meteor-lite\twall-seconds\n")
+
+
+def test_baseline_drops_training_lines_with_nothing_to_match(toy_files, capsys):
+    # a question that is only '?', a subject id that reads as blank and a
+    # blank display name are each a dropped pair, not an error
+    d = toy_files["dir"]
+    train = d / "odd_train.txt"
+    train.write_text(toy_files["train"].read_text(encoding="utf-8")
+                     + "thing_0\tfacts/thing/kind\tobj_0\t?\n"
+                     + "__\tfacts/thing/kind\tobj_0\twhat is it ?\n"
+                     + "m.blank\tfacts/thing/kind\tobj_0\twhat is m blank ?\n",
+                     encoding="utf-8")
+    names = d / "names.tsv"
+    names.write_text("m.blank\t \n", encoding="utf-8")
+    plain, odd = d / "plain.tsv", d / "odd.tsv"
+    for path, train_path in ((plain, toy_files["train"]), (odd, train)):
+        assert run(["baseline", "--train", str(train_path),
+                    "--facts", str(toy_files["facts"]), "--names", str(names),
+                    "--seed", "3", "--output", str(path)]) == 0
+    assert "error" not in capsys.readouterr().err
+    assert odd.read_bytes() == plain.read_bytes()
+    assert len(odd.read_text(encoding="utf-8").splitlines()) == 14
 
 
 @pytest.mark.parametrize("value", ["nan", "1.5", "-0.1"])

@@ -45,7 +45,7 @@ def test_greedy_uniform_ties_pick_lowest_index():
 def test_greedy_max_len_one_is_bare_question_mark():
     session, _, vocab = _session(["<unk>", "<bos>", "?", "w"], max_len=1)
     assert session.greedy_indices(FACT) == [vocab.index("?")]
-    assert session.greedy(FACT) == ["?"]
+    assert session.to_words(session.greedy_indices(FACT), FACT) == ["?"]
 
 
 def test_greedy_always_ends_with_question_mark():
@@ -85,7 +85,8 @@ def test_greedy_decode_wrapper_restores_subject():
     # decoded question is [<placeholder>, <placeholder>, ?] before restore
     tokens = ["<placeholder>", "<bos>", "?", "who"]
     session, _, _ = _session(tokens, zero=True, max_len=3)
-    words = session.greedy(Fact("s1", "r0", "o0"))
+    fact = Fact("s1", "r0", "o0")
+    words = session.to_words(session.greedy_indices(fact), fact)
     assert words == ["s1", "s1", "?"]  # subject id humanizes to itself
 
 
@@ -246,7 +247,8 @@ def test_generate_corpus_deterministic_and_in_input_order(tmp_path):
     rows = [line.split("\t")
             for line in out1.read_text(encoding="utf-8").splitlines()]
     assert [Fact(*row[:3]) for row in rows] == known
-    assert [row[3] for row in rows] == [" ".join(session.greedy(f)) for f in known]
+    assert [row[3] for row in rows] == [
+        " ".join(session.to_words(session.greedy_indices(f), f)) for f in known]
 
 
 def test_generate_corpus_leaves_no_partial_output(tmp_path):

@@ -186,6 +186,22 @@ def test_placeholderize_corpus_counts_drops():
     assert dropped == 1
 
 
+def test_placeholderize_corpus_drops_pairs_with_nothing_to_match():
+    # a question that is only '?', a subject id that reads as blank and a
+    # blank display name: each is dropped and counted at any threshold
+    no_words = QAPair(FOREST_PAIR.fact, ("?",))
+    blank_id = QAPair(Fact("__", "r/t/p", "o"), tuple(FOREST_TOKENS))
+    blank_name = QAPair(Fact("m.blank", "r/t/p", "o"), tuple(FOREST_TOKENS))
+    names = {"m.blank": " "}
+    for pair in (no_words, blank_id, blank_name):
+        with pytest.raises(NoSubjectSpanError, match="^nothing to match"):
+            placeholderize(pair, names=names, threshold=0.0)
+    kept, dropped = placeholderize_corpus(
+        [no_words, FOREST_PAIR, blank_id, blank_name], "sp", None, names, 0.0)
+    assert [pair for pair, _ in kept] == [FOREST_PAIR]
+    assert dropped == 3
+
+
 @pytest.mark.parametrize("mode, threshold, message", [
     ("zz", math.nan, "mode must be 'sp' or 'mp', got 'zz'"),
     ("mp", 0.5, "mp mode needs a category map"),

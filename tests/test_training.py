@@ -3,11 +3,10 @@ import pytest
 
 from conftest import prepare_toy
 from fact2question.decoding import GenerationSession
-from fact2question.errors import ContractError, TrainingDivergedError
+from fact2question.errors import ContractError, NumericError, TrainingDivergedError
 from fact2question.model import sequence_log_likelihood
 from fact2question.training import (
     AdamState,
-    EarlyStopState,
     TrainConfig,
     adam_step,
     clip_gradients,
@@ -31,7 +30,7 @@ def test_clip_scales_to_max_norm():
 
 def test_clip_zero_gradients_unchanged():
     grads = {"w": np.zeros(3)}
-    assert np.array_equal(clip_gradients(grads)["w"], np.zeros(3))
+    assert np.array_equal(clip_gradients(grads, max_norm=0.1)["w"], np.zeros(3))
 
 
 def test_clip_global_norm_spans_parameters():
@@ -43,7 +42,7 @@ def test_clip_global_norm_spans_parameters():
 
 def test_clip_rejects_non_finite():
     with pytest.raises(TrainingDivergedError):
-        clip_gradients({"w": np.array([np.nan])})
+        clip_gradients({"w": np.array([np.nan])}, max_norm=0.1)
 
 
 def test_clip_rejects_bad_max_norm():
@@ -53,7 +52,7 @@ def test_clip_rejects_bad_max_norm():
 
 def test_adam_zero_gradient_zero_moments_is_noop():
     params = {"w": np.array([1.0, -2.0])}
-    state = AdamState()
+    state = AdamState(learning_rate=0.01)
     adam_step(params, {"w": np.zeros(2)}, state)
     assert np.array_equal(params["w"], [1.0, -2.0])
     assert state.t == 1
@@ -71,7 +70,7 @@ def test_adam_deterministic():
     def run():
         rng = np.random.default_rng(5)
         params = {"w": np.zeros(4)}
-        state = AdamState()
+        state = AdamState(learning_rate=0.01)
         for _ in range(10):
             adam_step(params, {"w": rng.normal(size=4)}, state)
         return params["w"]
@@ -81,27 +80,7 @@ def test_adam_deterministic():
 def test_adam_rejects_shape_mismatch():
     params = {"w": np.zeros(2)}
     with pytest.raises(ContractError):
-        adam_step(params, {"w": np.zeros(3)}, AdamState())
-
-
-def test_early_stop_patience_one_stuck_metric_stops_after_two():
-    stopper = EarlyStopState(patience=1)
-    evaluations = 0
-    while True:
-        evaluations += 1
-        stopper.update(0.0)
-        if stopper.should_stop():
-            break
-    assert evaluations == 2
-
-
-def test_early_stop_improvement_resets_counter():
-    stopper = EarlyStopState(patience=2)
-    assert stopper.update(1.0)
-    assert not stopper.update(1.0)  # tie is not an improvement
-    assert stopper.update(2.0)
-    assert stopper.since_improvement == 0
-    assert not stopper.should_stop()
+        adam_step(params, {"w": np.zeros(3)}, AdamState(learning_rate=0.01))
 
 
 def test_train_config_validation():
@@ -118,6 +97,7 @@ def test_train_config_validation():
 @pytest.mark.parametrize("field, value, message", [
     ("learning_rate", -1.0, "learning rate must be >= 0, got -1.0"),
     ("learning_rate", float("nan"), "learning rate must be >= 0, got nan"),
+    ("learning_rate", float("inf"), "learning rate must be finite, got inf"),
     ("clip_norm", 0.0, "clip norm must be positive, got 0.0"),
     ("clip_norm", -0.1, "clip norm must be positive, got -0.1"),
     ("clip_norm", float("nan"), "clip norm must be positive, got nan"),
@@ -189,6 +169,68 @@ def test_train_returns_best_checkpoint_and_log(toy_prepared):
         int(step), float(nll), float(score), float(wall)
 
 
+def _scripted_run(scores, patience):
+    """Train with eval_every 1 and a score_fn that plays back scores; return
+    the result and the weights each evaluation saw."""
+    prepared, input_vocab, output_vocab, params = prepare_toy(
+        n_pairs=4, hidden=8, d_enc=4, d_dec=4, seed=5)
+    scores, snapshots = iter(scores), []
+
+    def scripted(p):
+        snapshots.append(p.copy_values())
+        return next(scores)
+
+    config = TrainConfig(max_steps=0, patience=patience, eval_every=1, seed=0)
+    result = train(prepared, prepared, params, config, input_vocab, output_vocab,
+                   score_fn=scripted)
+    return result, snapshots
+
+
+def test_train_tie_keeps_newer_checkpoint_but_is_no_improvement():
+    result, snapshots = _scripted_run([1.0, 1.0, 1.0], patience=2)
+    assert len(snapshots) == 3 and result.steps == 3
+    assert result.best_score == 1.0
+    assert not np.array_equal(snapshots[1]["out_proj"], snapshots[2]["out_proj"])
+    for name, tensor in result.params.tensors.items():
+        assert np.array_equal(tensor, snapshots[2][name])
+
+
+def test_train_improvement_resets_patience():
+    result, snapshots = _scripted_run([1.0, 1.0, 2.0, 2.0, 2.0], patience=2)
+    assert len(snapshots) == 5 and result.steps == 5
+    assert result.best_score == 2.0
+    for name, tensor in result.params.tensors.items():
+        assert np.array_equal(tensor, snapshots[4][name])
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_train_numeric_fault_in_validation_is_a_divergence(k):
+    prepared, input_vocab, output_vocab, params = prepare_toy(
+        n_pairs=4, hidden=8, d_enc=4, d_dec=4, seed=6)
+    initial, snapshots = params.copy_values(), []
+
+    def faulty(p):
+        snapshots.append(p.copy_values())
+        if len(snapshots) == k:
+            raise NumericError("non-finite values in the fact encoding")
+        return float(len(snapshots))  # every earlier evaluation improves
+
+    config = TrainConfig(max_steps=10, patience=10, eval_every=1, seed=0)
+    with pytest.raises(TrainingDivergedError, match=(
+            f"^training diverged at step {k}: non-finite values in the fact "
+            "encoding$")) as exc_info:
+        train(prepared, prepared, params, config, input_vocab, output_vocab,
+              score_fn=faulty)
+    exc = exc_info.value
+    assert [line.split("\t")[0] for line in exc.log_lines] == [
+        str(step) for step in range(1, k)]
+    # the best checkpoint: the weights the last good evaluation saw, or the
+    # initial weights when there was none
+    best = snapshots[k - 2] if k > 1 else initial
+    for name, tensor in exc.checkpoint.tensors.items():
+        assert np.array_equal(tensor, best[name])
+
+
 def test_train_divergence_aborts_with_checkpoint():
     prepared, input_vocab, output_vocab, params = prepare_toy(
         n_pairs=4, hidden=8, d_enc=4, d_dec=4, seed=4)
@@ -223,4 +265,5 @@ def test_small_overfit_reduces_nll_and_reproduces_questions():
     session = GenerationSession(result.params, input_vocab, output_vocab,
                                 max_len=12)
     for pair, _ in prepared:
-        assert session.greedy(pair.fact) == list(pair.question_tokens)
+        words = session.to_words(session.greedy_indices(pair.fact), pair.fact)
+        assert words == list(pair.question_tokens)

@@ -77,8 +77,8 @@ def test_train_overflowing_rate_names_the_epoch(n_triples, seed, epoch):
     # row that stays finite has a squared norm past the float range
     triples = [Fact(f"e{i}", "r", f"e{i + 1}") for i in range(n_triples)]
     config = TransEConfig(dim=1, epochs=3, learning_rate=1.7e308, seed=seed)
-    with pytest.raises(NumericError,
-                       match=f"^TransE epoch {epoch} left non-finite embeddings"):
+    with pytest.raises(NumericError, match=f"^TransE epoch {epoch} left an embedding "
+                                           "whose squared norm is not finite"):
         train_transe(triples, config)
 
 
@@ -92,8 +92,8 @@ def test_train_squared_norm_overflow_names_the_epoch_without_warnings(
         dim, n_triples, learning_rate, seed, epoch):
     triples = [Fact(f"e{i}", "r", f"e{i + 1}") for i in range(n_triples)]
     config = TransEConfig(dim=dim, epochs=5, learning_rate=learning_rate, seed=seed)
-    with pytest.raises(NumericError,
-                       match=f"^TransE epoch {epoch} left non-finite embeddings"):
+    with pytest.raises(NumericError, match=f"^TransE epoch {epoch} left an embedding "
+                                           "whose squared norm is not finite"):
         train_transe(triples, config)
 
 
