@@ -225,10 +225,10 @@ def _cmd_train_qgen(cfg) -> int:
         best = result.best_score
         params = result.params
     except TrainingDivergedError as exc:
-        log.error("training diverged: %s (keeping the best checkpoint)", exc)
+        log.error("%s (keeping the best checkpoint)", exc)
         params = exc.checkpoint
         log_lines = exc.log_lines
-        best = float("nan")
+        best = exc.best_score
 
     if category_map:
         category_map.dump(out_dir / "category_map.tsv")
@@ -240,8 +240,9 @@ def _cmd_train_qgen(cfg) -> int:
         fh.write("step\ttrain-nll\tvalid-meteor-lite\twall-seconds\n")
         for line in log_lines:
             fh.write(line + "\n")
-    print(f"best validation meteor-lite {best:.4f}; "
-          f"artifacts in {out_dir}")
+    scored = (f"best validation meteor-lite {best:.4f}" if best > -np.inf
+              else "no validation pass finished")
+    print(f"{scored}; artifacts in {out_dir}")
     return 0
 
 

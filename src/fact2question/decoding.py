@@ -57,9 +57,8 @@ class GenerationSession:
         self.output_vocab = output_vocab
         self.names = names
         self.max_len = max_len
-        t = params.tensors
-        self._word_emb = t["word_emb"]
-        self._step_weights = tuple(t[name] for name in kernels.STEP_WEIGHTS)
+        self._word_emb = params.tensors["word_emb"]
+        self._step_weights = params.step_weights()
         self._bos = output_vocab.index(BOS)
         self._qmark = output_vocab.index(QMARK)
 

@@ -36,7 +36,8 @@ class UnseenRelationshipError(Fact2QuestionError):
 class TrainingDivergedError(Fact2QuestionError):
     """Loss or gradients became non-finite during training."""
 
-    def __init__(self, message, checkpoint=None, log_lines=None):
+    def __init__(self, message, checkpoint=None, log_lines=None, best_score=-float("inf")):
         super().__init__(message)
         self.checkpoint = checkpoint
         self.log_lines = log_lines or []
+        self.best_score = best_score  # the kept checkpoint's; -inf if unscored

@@ -8,8 +8,11 @@ SGD's, operation for operation, and the tests check it bit for bit
 against a loop that indexes the arrays.
 decode_step is the one decoder forward: generation reads its new state
 and logits, and training (model.sequence_log_likelihood) also keeps the
-activations it returns for the hand-written backward pass.  The tests
-check it against a decoder step built from primitive tape ops.
+activations it returns for the hand-written backward pass.  It makes 8
+matrix-vector products, not 15: the gate weights that read one input are
+stacked (GATE_STACKS) and their row slices add up in the per-gate order.
+The tests check it against primitive tape ops, and bit for bit against
+the per-gate step (OpenBLAS keeps those bits when H is a multiple of 4).
 """
 
 from __future__ import annotations
@@ -27,13 +30,13 @@ BACKEND = "numpy"
 HAS_NUMBA = False
 
 # decode_step's weight arguments, in order, by parameter name
-STEP_WEIGHTS = (
-    "att_hidden", "att_score",
-    "reset_emb", "reset_ctx", "reset_state",
-    "update_emb", "update_ctx", "update_state",
-    "cand_emb", "cand_ctx", "cand_state",
-    "out_state", "out_emb", "out_ctx", "out_proj",
-)
+STEP_WEIGHTS = ("att_hidden", "att_score", "emb_gates", "ctx_gates",
+                "state_gates", "cand_state", "out_state", "out_proj")
+
+# the *_gates stacks: the named gate tensors as consecutive row blocks
+GATE_STACKS = {"emb_gates": ("reset_emb", "update_emb", "cand_emb", "out_emb"),
+               "ctx_gates": ("reset_ctx", "update_ctx", "cand_ctx", "out_ctx"),
+               "state_gates": ("reset_state", "update_state")}
 
 
 def transe_epoch(ent, rel, s_idx, r_idx, o_idx, order, corrupt_tail, neg_ent,
@@ -86,29 +89,27 @@ class Step(NamedTuple):
 
 
 def decode_step(e_w, h_prev, enc_s, enc_r, enc_o, enc_all,
-                att_hidden, att_score,
-                reset_emb, reset_ctx, reset_state,
-                update_emb, update_ctx, update_state,
-                cand_emb, cand_ctx, cand_state,
-                out_state, out_emb, out_ctx, out_proj) -> Step:
+                att_hidden, att_score, emb_gates, ctx_gates, state_gates,
+                cand_state, out_state, out_proj) -> Step:
     """One decoder step: attention, GRU update, output logits.
 
     e_w (D,) previous-word embedding; h_prev (H,); enc_* (H,) atom
     encodings with enc_all (3H,) their concatenation; the weights follow
-    STEP_WEIGHTS.
+    STEP_WEIGHTS, the *_gates stacks (4H, D), (4H, H) and (2H, H).
     """
+    h = h_prev.shape[0]
     z = np.concatenate((enc_all, h_prev))
     a = tanh_values(np.dot(att_hidden, z))
     alpha = sigmoid_values(np.dot(att_score, a))
     c = alpha[0] * enc_s + alpha[1] * enc_r + alpha[2] * enc_o
-    g_r = sigmoid_values(np.dot(reset_emb, e_w) + np.dot(reset_ctx, c)
-                         + np.dot(reset_state, h_prev))
-    g_u = sigmoid_values(np.dot(update_emb, e_w) + np.dot(update_ctx, c)
-                         + np.dot(update_state, h_prev))
-    cand = tanh_values(np.dot(cand_emb, e_w) + np.dot(cand_ctx, c)
+    from_emb = np.dot(emb_gates, e_w)
+    from_ctx = np.dot(ctx_gates, c)
+    gates = sigmoid_values(from_emb[:2 * h] + from_ctx[:2 * h]
+                           + np.dot(state_gates, h_prev))
+    g_r, g_u = gates[:h], gates[h:]
+    cand = tanh_values(from_emb[2 * h:3 * h] + from_ctx[2 * h:3 * h]
                        + np.dot(cand_state, g_r * h_prev))
     h_new = g_u * h_prev + (1.0 - g_u) * cand
-    pre = tanh_values(np.dot(out_state, h_new) + np.dot(out_emb, e_w)
-                      + np.dot(out_ctx, c))
+    pre = tanh_values(np.dot(out_state, h_new) + from_emb[3 * h:] + from_ctx[3 * h:])
     logits = np.dot(out_proj, pre)
     return Step(h_new, logits, alpha, a, c, g_r, g_u, cand, pre)

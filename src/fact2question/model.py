@@ -5,7 +5,9 @@ and projected to the decoder width.  Each decoding step computes three
 sigmoid attention scalars over the atom encodings, a gated recurrent
 update, and a softmax over the output vocabulary.  All trainable
 parameters live in QGenParams.tensors as float64 arrays; the input
-embedding table is frozen and excluded from gradients.
+embedding table is frozen and excluded from gradients.  The gate tensors
+are row-block views into QGenParams.stacks, which decode_step reads; the
+stacks live in memory only, and the checkpoint format is unchanged.
 
 encode is the one fact encoder: generation and training both call it.
 The training loss, sequence_log_likelihood, records a whole example as
@@ -37,10 +39,9 @@ the vocabulary hashes and that n_in and n_out are the vocabulary sizes.
 
 from __future__ import annotations
 
-import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,10 +82,12 @@ class QGenParams:
     stores every tensor as a float64 array (a float64 array is not copied),
     and checks every name and shape against param_shapes (DimensionError)
     for the dims of input_emb, word_emb and atom_proj, and that every tensor
-    is finite (NumericError)."""
+    is finite (NumericError).  Gate tensors that are not yet the row blocks
+    of one stack (kernels.GATE_STACKS) are copied into a new one."""
 
     input_emb: np.ndarray           # (n_in, d_enc), frozen
     tensors: dict[str, np.ndarray]  # trainable, keyed by param_shapes
+    stacks: dict[str, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.input_emb = np.asarray(self.input_emb, dtype=np.float64)
@@ -104,6 +107,11 @@ class QGenParams:
         for name, t in [(INPUT_EMB_NAME, self.input_emb), *self.tensors.items()]:
             if not np.isfinite(t).all():
                 raise NumericError(f"non-finite values in tensor {name!r}")
+        self.stacks = {stack: _stacked(self.tensors, names)
+                       for stack, names in kernels.GATE_STACKS.items()}
+
+    def __deepcopy__(self, memo):  # numpy would copy each view apart
+        return QGenParams(self.input_emb.copy(), self.copy_values())
 
     @classmethod
     def init(cls, n_in: int, n_out: int, d_enc: int, d_dec: int, hidden: int,
@@ -136,6 +144,23 @@ class QGenParams:
     def load_values(self, values: dict[str, np.ndarray]) -> None:
         for name, t in self.tensors.items():
             np.copyto(t, values[name])
+
+    def step_weights(self) -> tuple[np.ndarray, ...]:
+        return tuple({**self.tensors, **self.stacks}[n] for n in kernels.STEP_WEIGHTS)
+
+
+def _stacked(tensors: dict[str, np.ndarray], names) -> np.ndarray:
+    """The stack of tensors[names]: the array whose row blocks, in order,
+    they already are, else their copy, whose blocks then replace them."""
+    parts = [tensors[name] for name in names]
+    base, rows = parts[0].base, len(parts[0])
+    if isinstance(base, np.ndarray) and len(base) == len(parts) * rows and all(
+            p.__array_interface__ == base[i * rows:(i + 1) * rows].__array_interface__
+            for i, p in enumerate(parts)):
+        return base
+    stack = np.concatenate(parts)
+    tensors.update((name, stack[i * rows:(i + 1) * rows]) for i, name in enumerate(names))
+    return stack
 
 
 def atom_indices(fact: Fact, input_vocab: Vocabulary) -> tuple[int, int, int]:
@@ -172,8 +197,7 @@ def sequence_log_likelihood(fact: Fact, question_tokens, params: QGenParams,
 
     Out-of-vocabulary tokens map to <unk>.  The first decoder input is
     <bos>; the question must end with '?'.  On an open tape the whole
-    example is one node whose parents are atom_proj, init_proj, word_emb
-    and the STEP_WEIGHTS.
+    example is one node whose parents are the params.tensors, in order.
     """
     tokens = list(question_tokens)
     if not tokens:
@@ -191,14 +215,14 @@ def sequence_log_likelihood(fact: Fact, question_tokens, params: QGenParams,
 
     encodings, h0 = encode(fact, params, input_vocab)
     atom_rows = params.input_emb[list(atom_indices(fact, input_vocab))]
-    step_weights = {name: t[name] for name in kernels.STEP_WEIGHTS}
+    step_weights = params.step_weights()
     h = h0
     steps = []
     log_probs = []
     total = None
     for w_prev, target in zip(inputs, targets):
         step = kernels.decode_step(word_emb[w_prev], h, *encodings,
-                                   *step_weights.values())
+                                   *step_weights)
         logp = log_softmax_values(step.logits)
         total = logp[target] if total is None else total + logp[target]
         steps.append(step)
@@ -207,17 +231,15 @@ def sequence_log_likelihood(fact: Fact, question_tokens, params: QGenParams,
 
     def backward(g):
         return _backprop_through_time(g, steps, log_probs, inputs, targets, h0,
-                                      encodings, atom_rows, t["init_proj"],
-                                      word_emb, step_weights)
+                                      encodings, atom_rows, word_emb, t)
 
-    return custom_op(total, (t["atom_proj"], t["init_proj"], word_emb,
-                             *step_weights.values()), backward)
+    return custom_op(total, tuple(t.values()), backward)
 
 
 def _backprop_through_time(g, steps, log_probs, inputs, targets, h0,
-                           encodings, atom_rows, init_proj, word_emb, w):
+                           encodings, atom_rows, word_emb, w):
     """Gradients of g * (summed target log-probs) for sequence_log_likelihood's
-    node parents: atom_proj, init_proj, word_emb, then the STEP_WEIGHTS.
+    node parents, the named tensors w, in w's order.
     atom_rows are the atoms' frozen embedding rows.  Rows of the (T, .) arrays
     are tokens; a gradient with respect to a weight is the G^T X product
     of the gradients at its output and its inputs over all T rows."""
@@ -291,13 +313,14 @@ def _backprop_through_time(g, steps, log_probs, inputs, targets, h0,
     # the fact encoding, summed in the order reverse-mode over its three
     # projections, the concatenation and h_0's tanh layer adds them
     d_pre0 = dh * (1.0 - h0 * h0)
-    g_all = d_enc_all + init_proj.T @ d_pre0
+    g_all = d_enc_all + w["init_proj"].T @ d_pre0
     g_enc = [d_enc[k] + g_all[k * hidden:(k + 1) * hidden] for k in range(3)]
     d_atom_proj = ((np.outer(g_enc[2], atom_rows[2])
                     + np.outer(g_enc[1], atom_rows[1]))
                    + np.outer(g_enc[0], atom_rows[0]))
-    return (d_atom_proj, np.outer(d_pre0, encodings[3]), d_word_emb,
-            *(grads[name] for name in kernels.STEP_WEIGHTS))
+    grads.update(atom_proj=d_atom_proj, init_proj=np.outer(d_pre0, encodings[3]),
+                 word_emb=d_word_emb)
+    return tuple(grads[name] for name in w)
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +355,10 @@ def load_checkpoint(path, input_vocab: Vocabulary,
                     output_vocab: Vocabulary) -> tuple[QGenParams, str]:
     """Reload a checkpoint, verifying it was trained with these vocabularies.
 
-    Each tensor is read once, straight into its array, after its byte count
-    is checked against what is left of the file.  A vocabulary hash mismatch
-    raises ContractError; any other fault of the file raises ParseError
-    naming it.
+    Each tensor is read once, straight into its array (a gate tensor into
+    its stack's row block), after its byte count is checked against what
+    is left of the file.  A vocabulary hash mismatch raises ContractError;
+    any other fault of the file raises ParseError naming it.
     """
     with open(path, "rb") as fh:
         left = os.fstat(fh.fileno()).st_size
@@ -372,6 +395,10 @@ def load_checkpoint(path, input_vocab: Vocabulary,
 
         (n_tensors,) = struct.unpack("<I", take(4))
         arrays: dict[str, np.ndarray] = {}
+        # each gate tensor's stack, its row block there and the stack's size
+        blocks = {name: (stack, i, len(names)) for stack, names
+                  in kernels.GATE_STACKS.items() for i, name in enumerate(names)}
+        stacks: dict[str, np.ndarray] = {}
         for _ in range(n_tensors):
             (name_len,) = struct.unpack("<H", take(2))
             name = text(name_len, "a tensor name")
@@ -381,9 +408,14 @@ def load_checkpoint(path, input_vocab: Vocabulary,
             if ndim != 2:
                 raise ParseError(f"{path}: tensor {name!r} has {ndim} dimensions, "
                                  f"expected 2")
-            shape = struct.unpack("<2I", take(8))
-            reserve(8 * math.prod(shape))
-            arr = arrays[name] = np.empty(shape, dtype="<f8")
+            rows, width = shape = struct.unpack("<2I", take(8))
+            reserve(8 * rows * width)
+            stack, i, k = blocks.get(name, (name, 0, 1))  # else a stack of one
+            if stack not in stacks:  # made at the first of its tensors
+                stacks[stack] = np.empty((k * rows, width), dtype="<f8")
+            arr = arrays[name] = stacks[stack][i * rows:(i + 1) * rows]
+            if arr.shape != shape:  # a gate tensor its stack does not fit
+                arr = arrays[name] = np.empty(shape, dtype="<f8")
             if fh.readinto(arr) != arr.nbytes:  # the file shrank since fstat
                 raise ParseError(f"{path}: truncated checkpoint")
         if left:

@@ -204,6 +204,7 @@ def train(
     except (NumericError, TrainingDivergedError) as exc:
         params.load_values(best_values)
         raise TrainingDivergedError(f"training diverged at step {step}: {exc}",
-                                    checkpoint=params, log_lines=log_lines) from exc
+                                    checkpoint=params, log_lines=log_lines,
+                                    best_score=best) from exc
     params.load_values(best_values)
     return TrainResult(params=params, log_lines=log_lines, best_score=best, steps=step)

@@ -248,7 +248,7 @@ def test_criterion_8_attention_invariant():
         h_prev = rng.normal(size=4)
         step = kernels.decode_step(
             params.tensors["word_emb"][1], h_prev, enc_s, enc_r, enc_o,
-            enc_all, *(params.tensors[name] for name in kernels.STEP_WEIGHTS))
+            enc_all, *params.step_weights())
         a = step.alpha
         ok &= bool(np.all((a > 0.0) & (a < 1.0)))
         weighted = a[0] * enc_s + a[1] * enc_r + a[2] * enc_o

@@ -6,7 +6,7 @@ from fact2question import cli, evaluation
 from fact2question.baseline import sample_question
 from fact2question.cli import run
 from fact2question.data import Vocabulary
-from fact2question.errors import ContractError
+from fact2question.errors import ContractError, NumericError
 from fact2question.model import INPUT_EMB_NAME, QGenParams, save_checkpoint
 
 
@@ -400,7 +400,7 @@ def test_train_qgen_rejected_before_training_leaves_no_out_dir(toy_files, capsys
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_qgen_numeric_fault_in_validation_keeps_the_best_checkpoint(toy_files,
-                                                                         caplog):
+                                                                         caplog, capsys):
     # one Adam step at learning rate 1e308 throws the weights out of range,
     # so the validation pass after it meets a non-finite fact encoding
     d = toy_files["dir"]
@@ -409,6 +409,7 @@ def test_train_qgen_numeric_fault_in_validation_keeps_the_best_checkpoint(toy_fi
                 f"{toy_files['train']},{toy_files['valid']}",
                 "--dim", "4", "--epochs", "1", "--seed", "0",
                 "--out-entities", str(ent), "--out-relations", str(rel)]) == 0
+    capsys.readouterr()
     out_dir = d / "model11"
     with caplog.at_level("ERROR"):
         assert run(["train-qgen", "--train", str(toy_files["train"]),
@@ -416,12 +417,52 @@ def test_train_qgen_numeric_fault_in_validation_keeps_the_best_checkpoint(toy_fi
                     "--entity-embeddings", str(ent), "--relationship-embeddings", str(rel),
                     "--word-dim", "4", "--hidden", "4", "--learning-rate", "1e308",
                     "--max-steps", "1", "--out-dir", str(out_dir)]) == 0
-    assert any(m.startswith("training diverged: training diverged at step 1: ")
-               for m in caplog.messages)
+    errors = [m for m in caplog.messages if "diverged" in m]
+    assert len(errors) == 1
+    assert errors[0].startswith("training diverged at step 1: ")
+    assert errors[0].count("training diverged") == 1
     assert sorted(p.name for p in out_dir.iterdir()) == [
         "checkpoint.bin", "input_vocab.tsv", "output_vocab.tsv", "train_log.tsv"]
     assert (out_dir / "train_log.tsv").read_text(encoding="utf-8") == (
         "step\ttrain-nll\tvalid-meteor-lite\twall-seconds\n")
+    assert capsys.readouterr().out == (
+        f"no validation pass finished; artifacts in {out_dir}\n")
+
+
+def test_train_qgen_divergence_prints_the_kept_checkpoint_score(toy_files, capsys,
+                                                                monkeypatch):
+    # the third validation pass fails; the best of the first two is kept
+    real_scorer = cli.validation_scorer
+
+    def failing_on_third_pass(*args):
+        score, passes = real_scorer(*args), []
+
+        def scorer(params):
+            passes.append(1)
+            if len(passes) == 3:
+                raise NumericError("non-finite values in the fact encoding")
+            return score(params)
+        return scorer
+
+    monkeypatch.setattr(cli, "validation_scorer", failing_on_third_pass)
+    d = toy_files["dir"]
+    ent, rel = d / "e12.txt", d / "r12.txt"
+    assert run(["train-transe", "--questions",
+                f"{toy_files['train']},{toy_files['valid']}",
+                "--dim", "4", "--epochs", "1", "--seed", "0",
+                "--out-entities", str(ent), "--out-relations", str(rel)]) == 0
+    capsys.readouterr()
+    out_dir = d / "model12"
+    assert run(["train-qgen", "--train", str(toy_files["train"]),
+                "--valid", str(toy_files["valid"]),
+                "--entity-embeddings", str(ent), "--relationship-embeddings", str(rel),
+                "--word-dim", "4", "--hidden", "4", "--eval-every", "1",
+                "--max-steps", "5", "--out-dir", str(out_dir)]) == 0
+    log = (out_dir / "train_log.tsv").read_text(encoding="utf-8").splitlines()[1:]
+    scores = [float(line.split("\t")[2]) for line in log]
+    assert len(scores) == 2
+    assert capsys.readouterr().out == (
+        f"best validation meteor-lite {max(scores):.4f}; artifacts in {out_dir}\n")
 
 
 def test_baseline_drops_training_lines_with_nothing_to_match(toy_files, capsys):

@@ -1,3 +1,5 @@
+import copy
+import hashlib
 import math
 import re
 import struct
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fact2question import kernels
 from fact2question.autodiff import Tape, backprop, finite_diff_check
 from fact2question.data import BOS, Fact, Vocabulary
 from fact2question.decoding import GenerationSession
@@ -28,6 +31,8 @@ from fact2question.model import (
     save_checkpoint,
     sequence_log_likelihood,
 )
+from fact2question.training import AdamState, adam_step
+from reference_decoder import REFERENCE_WEIGHTS, reference_decode_step
 from tape_oracle import (
     attend,
     decoder_step,
@@ -630,3 +635,75 @@ def test_checkpoint_fuzz_loads_or_raises_a_named_error(tiny_checkpoint, cut, edi
         assert str(path) in str(exc)
     except ContractError as exc:
         assert "vocabulary hash mismatch" in str(exc)
+
+
+# sha256 of the checkpoint that _params(d_dec=5) wrote when every gate
+# tensor was an array of its own, before the gate stacks
+PER_GATE_CHECKPOINT_SHA256 = (
+    "c03bcddaba7a29ce86dd64bc97e5d7c02f33bdab3d25397a5ef1dcf0a8e68a0c")
+
+
+def _assert_gates_are_stack_blocks(params):
+    hidden = params.tensors["atom_proj"].shape[0]
+    for stack_name, names in kernels.GATE_STACKS.items():
+        stack = params.stacks[stack_name]
+        for i, name in enumerate(names):
+            tensor = params.tensors[name]
+            assert np.shares_memory(tensor, stack), name
+            assert tensor.ctypes.data == stack[i * hidden:].ctypes.data, name
+            assert tensor.shape == (hidden, stack.shape[1]), name
+
+
+def test_gate_tensors_stay_views_into_their_stacks(tmp_path):
+    params = _params(d_dec=5)
+    _assert_gates_are_stack_blocks(params)
+    loaded, _ = load_checkpoint(_saved(tmp_path, params), INPUT_VOCAB, OUTPUT_VOCAB)
+    _assert_gates_are_stack_blocks(loaded)
+    loaded.load_values(_params(seed=1, d_dec=5).copy_values())
+    _assert_gates_are_stack_blocks(loaded)
+    adam_step(loaded.tensors, {name: np.ones_like(t) for name, t in
+                               loaded.tensors.items()}, AdamState(0.01))
+    _assert_gates_are_stack_blocks(loaded)
+    _assert_gates_are_stack_blocks(copy.deepcopy(loaded))
+    # blocks of one stack are reused; arrays of their own are copied in
+    shared = QGenParams(loaded.input_emb, loaded.tensors)
+    assert all(shared.stacks[name] is loaded.stacks[name]
+               for name in kernels.GATE_STACKS)
+    copied = QGenParams(loaded.input_emb, loaded.copy_values())
+    _assert_gates_are_stack_blocks(copied)
+    for name, stack in copied.stacks.items():
+        assert not np.shares_memory(stack, loaded.stacks[name])
+        assert np.array_equal(stack, loaded.stacks[name])
+
+
+def test_decoding_sees_an_in_place_update_of_a_named_gate_tensor(monkeypatch):
+    params = _params(d_dec=5)
+    session = GenerationSession(params, INPUT_VOCAB, OUTPUT_VOCAB, max_len=2)
+    params.tensors["update_state"] *= -3.0
+    params.tensors["out_emb"] += 0.25
+    steps = []
+    decode_step = kernels.decode_step
+
+    def recording(*args):
+        steps.append(decode_step(*args))
+        return steps[-1]
+
+    monkeypatch.setattr(kernels, "decode_step", recording)
+    session.greedy_indices(FACT)
+    encodings, h0 = encode(FACT, params, INPUT_VOCAB)
+    t = params.tensors
+    expected = reference_decode_step(
+        t["word_emb"][OUTPUT_VOCAB.index(BOS)], h0, *encodings,
+        *(t[name] for name in REFERENCE_WEIGHTS))
+    for name, got, want in zip(kernels.Step._fields, steps[0], expected):
+        assert np.array_equal(got, want), name
+
+
+def test_checkpoint_bytes_survive_a_reload_and_match_the_per_gate_layout(tmp_path):
+    first = _saved(tmp_path, _params(d_dec=5)).read_bytes()
+    assert hashlib.sha256(first).hexdigest() == PER_GATE_CHECKPOINT_SHA256
+    loaded, mode = load_checkpoint(tmp_path / "checkpoint.bin", INPUT_VOCAB,
+                                   OUTPUT_VOCAB)
+    again = tmp_path / "again.bin"
+    save_checkpoint(again, loaded, mode, INPUT_VOCAB, OUTPUT_VOCAB)
+    assert again.read_bytes() == first
