@@ -110,8 +110,13 @@ class QGenParams:
         self.stacks = {stack: _stacked(self.tensors, names)
                        for stack, names in kernels.GATE_STACKS.items()}
 
-    def __deepcopy__(self, memo):  # numpy would copy each view apart
-        return QGenParams(self.input_emb.copy(), self.copy_values())
+    def __deepcopy__(self, memo):  # one copy of each stack, not one a view
+        blocks = {}
+        for stack, names in kernels.GATE_STACKS.items():
+            blocks.update(_blocks(self.stacks[stack].copy(), names))
+        return QGenParams(self.input_emb.copy(), {
+            name: blocks[name] if name in blocks else t.copy()
+            for name, t in self.tensors.items()})
 
     @classmethod
     def init(cls, n_in: int, n_out: int, d_enc: int, d_dec: int, hidden: int,
@@ -152,15 +157,20 @@ class QGenParams:
 def _stacked(tensors: dict[str, np.ndarray], names) -> np.ndarray:
     """The stack of tensors[names]: the array whose row blocks, in order,
     they already are, else their copy, whose blocks then replace them."""
-    parts = [tensors[name] for name in names]
-    base, rows = parts[0].base, len(parts[0])
-    if isinstance(base, np.ndarray) and len(base) == len(parts) * rows and all(
-            p.__array_interface__ == base[i * rows:(i + 1) * rows].__array_interface__
-            for i, p in enumerate(parts)):
+    base = tensors[names[0]].base
+    if (isinstance(base, np.ndarray) and base.ndim == 2
+            and len(base) % len(names) == 0 and all(
+                tensors[name].__array_interface__ == block.__array_interface__
+                for name, block in _blocks(base, names).items())):
         return base
-    stack = np.concatenate(parts)
-    tensors.update((name, stack[i * rows:(i + 1) * rows]) for i, name in enumerate(names))
+    stack = np.concatenate([tensors[name] for name in names])
+    tensors.update(_blocks(stack, names))
     return stack
+
+
+def _blocks(stack: np.ndarray, names) -> dict[str, np.ndarray]:
+    rows = len(stack) // len(names)
+    return {name: stack[i * rows:(i + 1) * rows] for i, name in enumerate(names)}
 
 
 def atom_indices(fact: Fact, input_vocab: Vocabulary) -> tuple[int, int, int]:

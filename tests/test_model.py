@@ -676,6 +676,31 @@ def test_gate_tensors_stay_views_into_their_stacks(tmp_path):
         assert np.array_equal(stack, loaded.stacks[name])
 
 
+def test_gate_tensors_that_are_views_of_other_arrays_are_copied_into_a_stack():
+    values = _params(d_dec=5).copy_values()
+    shape = values["reset_emb"].shape
+    values["reset_emb"] = np.broadcast_to(np.float64(0.5), shape)  # a 0-d base
+    values["update_state"] = np.arange(36.0).reshape(6, 6)        # a 1-d base
+    params = QGenParams(_params().input_emb, values)
+    _assert_gates_are_stack_blocks(params)
+    assert np.array_equal(params.tensors["reset_emb"], np.full(shape, 0.5))
+    assert np.array_equal(params.tensors["update_state"], np.arange(36.0).reshape(6, 6))
+
+
+def test_deepcopy_copies_each_tensor_once():
+    # gate tensors are about half the bytes here, so a second copy of them shows
+    params = QGenParams.init(n_in=len(INPUT_VOCAB), n_out=8, d_enc=4, d_dec=64,
+                             hidden=256, seed=18)
+    tensor_bytes = params.input_emb.nbytes + sum(
+        t.nbytes for t in params.tensors.values())
+    copied = _traced_peak(lambda: copy.deepcopy(params), limit=1.2 * tensor_bytes)
+    _assert_gates_are_stack_blocks(copied)
+    assert list(copied.tensors) == list(params.tensors)
+    for name, tensor in params.tensors.items():
+        assert np.array_equal(copied.tensors[name], tensor)
+        assert not np.shares_memory(copied.tensors[name], tensor)
+
+
 def test_decoding_sees_an_in_place_update_of_a_named_gate_tensor(monkeypatch):
     params = _params(d_dec=5)
     session = GenerationSession(params, INPUT_VOCAB, OUTPUT_VOCAB, max_len=2)
