@@ -110,7 +110,7 @@ class QGenParams:
         self.stacks = {stack: _stacked(self.tensors, names)
                        for stack, names in kernels.GATE_STACKS.items()}
 
-    def __deepcopy__(self, memo):  # one copy of each stack, not one a view
+    def __deepcopy__(self, memo):  # copies each stack once, not view by view
         blocks = {}
         for stack, names in kernels.GATE_STACKS.items():
             blocks.update(_blocks(self.stacks[stack].copy(), names))
