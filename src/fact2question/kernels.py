@@ -11,6 +11,7 @@ and logits, and training (model.sequence_log_likelihood) also keeps the
 activations it returns for the hand-written backward pass.  It makes 8
 matrix-vector products, not 15: the gate weights that read one input are
 stacked (GATE_STACKS) and their row slices add up in the per-gate order.
+The backward pass (model._backprop_through_time) reads the same stacks.
 The tests check it against primitive tape ops, and bit for bit against
 the per-gate step (OpenBLAS keeps those bits when H is a multiple of 4).
 """

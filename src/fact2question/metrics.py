@@ -214,15 +214,11 @@ class WordVectorStore:
         if len(dims) != 1 or len(next(iter(dims))) != 1:
             raise ContractError(f"inconsistent vector shapes: {dims}")
         self._vectors = {t: np.asarray(v, dtype=np.float64) for t, v in vectors.items()}
-        self.dim = next(iter(dims))[0]
 
     @classmethod
     def load(cls, path) -> "WordVectorStore":
         tokens, table = read_vectors(path)
         return cls(dict(zip(tokens, table)))
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._vectors
 
     def get(self, token: str) -> np.ndarray | None:
         return self._vectors.get(token)

@@ -14,7 +14,8 @@ The training loss, sequence_log_likelihood, records a whole example as
 one tape node: the forward runs encode and then kernels.decode_step, the
 same step that generation uses, and the backward is hand-written
 backpropagation through time (the output layer over all tokens at once,
-the recurrence one token at a time, then the encoder).  The tests check
+the recurrence one token at a time, then the encoder) that reads the
+gate weights through the same stacks as decode_step.  The tests check
 that node against a gradient oracle built from primitive tape ops.
 
 Checkpoint container (binary, little-endian), documented here because
@@ -241,18 +242,22 @@ def sequence_log_likelihood(fact: Fact, question_tokens, params: QGenParams,
 
     def backward(g):
         return _backprop_through_time(g, steps, log_probs, inputs, targets, h0,
-                                      encodings, atom_rows, word_emb, t)
+                                      encodings, atom_rows, word_emb, t,
+                                      params.stacks)
 
     return custom_op(total, tuple(t.values()), backward)
 
 
 def _backprop_through_time(g, steps, log_probs, inputs, targets, h0,
-                           encodings, atom_rows, word_emb, w):
+                           encodings, atom_rows, word_emb, w, stacks):
     """Gradients of g * (summed target log-probs) for sequence_log_likelihood's
     node parents, the named tensors w, in w's order.
     atom_rows are the atoms' frozen embedding rows.  Rows of the (T, .) arrays
     are tokens; a gradient with respect to a weight is the G^T X product
-    of the gradients at its output and its inputs over all T rows."""
+    of the gradients at its output and its inputs over all T rows.  Like
+    decode_step, it reads the gate weights only through the stacks:
+    d_gates holds each token's reset, update, candidate and output
+    pre-activation gradients side by side, in the stacks' row-block order."""
     n = len(targets)
     hidden = h0.shape[0]
     h_prev = np.stack([h0] + [s.h for s in steps[:-1]])
@@ -266,16 +271,14 @@ def _backprop_through_time(g, steps, log_probs, inputs, targets, h0,
     d_logits = -np.exp(np.stack(log_probs))
     d_logits[np.arange(n), targets] += 1.0
     d_logits *= g
-    d_pre = (d_logits @ w["out_proj"]) * (1.0 - pre * pre)
+    d_gates = np.empty((n, 4 * hidden))
+    d_r, d_u, d_n, d_pre = np.hsplit(d_gates, 4)
+    d_pre[:] = (d_logits @ w["out_proj"]) * (1.0 - pre * pre)
     d_h_out = d_pre @ w["out_state"]
-    d_c_out = d_pre @ w["out_ctx"]
 
     # the recurrence, newest token first, on H-vectors
     enc3 = np.stack(encodings[:3])
     att_state = w["att_hidden"][:, 3 * hidden:]
-    d_r = np.empty_like(g_r)
-    d_u = np.empty_like(g_u)
-    d_n = np.empty_like(cand)
     d_c = np.empty_like(ctx)
     d_att = np.empty_like(att)
     d_alpha = np.empty_like(alpha)
@@ -286,50 +289,37 @@ def _backprop_through_time(g, steps, log_probs, inputs, targets, h0,
         d_n[k] = dn = dh * (1.0 - u) * (1.0 - cand[k] * cand[k])
         # dh*h - dh*cand, not dh*(h - cand): the tape ops round it this
         # way, and the two differ beyond 1e-10 where the gate saturates
-        d_u[k] = du = (dh * hp - dh * cand[k]) * u * (1.0 - u)
+        d_u[k] = (dh * hp - dh * cand[k]) * u * (1.0 - u)
         d_rh = dn @ w["cand_state"]
-        d_r[k] = dr = d_rh * hp * r * (1.0 - r)
-        d_c[k] = dc = (d_c_out[k] + dr @ w["reset_ctx"] + du @ w["update_ctx"]
-                       + dn @ w["cand_ctx"])
+        d_r[k] = d_rh * hp * r * (1.0 - r)
+        d_c[k] = dc = d_gates[k] @ stacks["ctx_gates"]
         d_alpha[k] = da = (enc3 @ dc) * alpha[k] * (1.0 - alpha[k])
         d_att[k] = dz = (da @ w["att_score"]) * (1.0 - att[k] * att[k])
-        dh = (dh * u + d_rh * r + dr @ w["reset_state"] + du @ w["update_state"]
+        dh = (dh * u + d_rh * r + d_gates[k, :2 * hidden] @ stacks["state_gates"]
               + dz @ att_state)
 
     grads = {
         "att_hidden": d_att.T @ np.hstack((np.tile(encodings[3], (n, 1)), h_prev)),
         "att_score": d_alpha.T @ att,
-        "reset_emb": d_r.T @ emb,
-        "reset_ctx": d_r.T @ ctx,
-        "reset_state": d_r.T @ h_prev,
-        "update_emb": d_u.T @ emb,
-        "update_ctx": d_u.T @ ctx,
-        "update_state": d_u.T @ h_prev,
-        "cand_emb": d_n.T @ emb,
-        "cand_ctx": d_n.T @ ctx,
         "cand_state": d_n.T @ (g_r * h_prev),
         "out_state": d_pre.T @ h_new,
-        "out_emb": d_pre.T @ emb,
-        "out_ctx": d_pre.T @ ctx,
         "out_proj": d_logits.T @ pre,
     }
+    for stack, x in (("emb_gates", emb), ("ctx_gates", ctx), ("state_gates", h_prev)):
+        d_stack = d_gates[:, :len(stacks[stack])].T @ x
+        grads.update(_blocks(d_stack, kernels.GATE_STACKS[stack]))
     d_word_emb = np.zeros(word_emb.shape)
-    np.add.at(d_word_emb, inputs,
-              d_pre @ w["out_emb"] + d_r @ w["reset_emb"] + d_u @ w["update_emb"]
-              + d_n @ w["cand_emb"])
+    np.add.at(d_word_emb, inputs, d_gates @ stacks["emb_gates"])
     d_enc = alpha.T @ d_c
     d_enc_all = d_att.sum(axis=0) @ w["att_hidden"][:, :3 * hidden]
 
-    # the fact encoding, summed in the order reverse-mode over its three
-    # projections, the concatenation and h_0's tanh layer adds them
+    # the fact encoding: h_0's tanh layer, the concatenation, then the
+    # three atom projections of one weight
     d_pre0 = dh * (1.0 - h0 * h0)
     g_all = d_enc_all + w["init_proj"].T @ d_pre0
-    g_enc = [d_enc[k] + g_all[k * hidden:(k + 1) * hidden] for k in range(3)]
-    d_atom_proj = ((np.outer(g_enc[2], atom_rows[2])
-                    + np.outer(g_enc[1], atom_rows[1]))
-                   + np.outer(g_enc[0], atom_rows[0]))
-    grads.update(atom_proj=d_atom_proj, init_proj=np.outer(d_pre0, encodings[3]),
-                 word_emb=d_word_emb)
+    g_enc = d_enc + g_all.reshape(3, hidden)
+    grads.update(atom_proj=g_enc.T @ atom_rows,
+                 init_proj=np.outer(d_pre0, encodings[3]), word_emb=d_word_emb)
     return tuple(grads[name] for name in w)
 
 

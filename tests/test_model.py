@@ -345,13 +345,11 @@ def _loss_and_gradients(fn, tokens, params, fact=FACT):
     return ll.item(), backprop(tape, ll), len(tape)
 
 
-@pytest.mark.parametrize("weight_scale", [1.0, 10.0])
-@pytest.mark.parametrize("seed", range(16))
-def test_fused_node_matches_tape_oracle(seed, weight_scale):
+def _assert_fused_node_matches_tape_oracle(seed, weight_scale, hidden, d_dec):
     # weight_scale 10 drives the gates and activations into saturation; the
     # second fact has its subject as its object, so two projections of one
     # embedding row add into atom_proj's gradient
-    params = _params(seed=seed, d_dec=5)
+    params = _params(seed=seed, d_dec=d_dec, hidden=hidden)
     rng = np.random.default_rng(seed + 50)
     for tensor in params.tensors.values():
         tensor[:] = rng.normal(scale=0.4 * weight_scale, size=tensor.shape)
@@ -368,6 +366,22 @@ def test_fused_node_matches_tape_oracle(seed, weight_scale):
                 assert scale > 0.0, name
                 err = np.max(np.abs(grads[name] - ref)) / scale
                 assert err <= 1e-10, (fact, tokens, name, err)
+
+
+@pytest.mark.parametrize("weight_scale", [1.0, 10.0])
+@pytest.mark.parametrize("seed", range(16))
+def test_fused_node_matches_tape_oracle(seed, weight_scale):
+    _assert_fused_node_matches_tape_oracle(seed, weight_scale, hidden=6, d_dec=5)
+
+
+@pytest.mark.parametrize("weight_scale", [1.0, 10.0])
+@pytest.mark.parametrize("seed", range(16))
+@pytest.mark.parametrize("hidden", [8, 128])
+def test_fused_node_matches_tape_oracle_at_wider_dims(hidden, seed, weight_scale):
+    # the gate stacks' row blocks start at multiples of H: check their
+    # offsets where H is a multiple of 4 and the blocks are BLAS-sized
+    _assert_fused_node_matches_tape_oracle(seed, weight_scale, hidden=hidden,
+                                           d_dec=64)
 
 
 def test_fused_node_tape_length_does_not_grow_with_question():

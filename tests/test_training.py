@@ -1,7 +1,10 @@
+import copy
+
 import numpy as np
 import pytest
 
 from conftest import prepare_toy
+from fact2question.autodiff import Tape, backprop
 from fact2question.decoding import GenerationSession
 from fact2question.errors import ContractError, NumericError, TrainingDivergedError
 from fact2question.model import sequence_log_likelihood
@@ -130,6 +133,39 @@ def test_train_is_deterministic_for_fixed_seed():
     a, b = run(), run()
     for name in a:
         assert np.array_equal(a[name], b[name])
+
+
+def test_train_step_sums_the_batch_gradients_in_example_order():
+    # a batch of 4 in train's shuffled order: each example's backprop
+    # result (its gate gradients are row blocks of one stack gradient) is
+    # copied before the sum, so the in-place batch sum must match it bit
+    # for bit
+    prepared, input_vocab, output_vocab, params = prepare_toy(
+        n_pairs=4, hidden=8, d_enc=4, d_dec=4, seed=3)
+    config = TrainConfig(batch_size=4, max_steps=1, seed=5)
+    before = params.copy_values()
+    expected = copy.deepcopy(params)
+    batch = [prepared[i][1]
+             for i in np.random.default_rng(config.seed).permutation(4)]
+    summed = {}
+    for ph in batch:
+        with Tape() as tape:
+            tape.watch(expected.tensors)
+            ll = sequence_log_likelihood(ph.fact, list(ph.tokens), expected,
+                                         input_vocab, output_vocab)
+        for name, g in backprop(tape, ll).items():
+            summed[name] = g.copy() if name not in summed else summed[name] + g
+    tokens = sum(len(ph.tokens) for ph in batch)
+    scaled = {name: g / -tokens for name, g in summed.items()}
+    adam_step(expected.tensors, clip_gradients(scaled, config.clip_norm),
+              AdamState(config.learning_rate))
+
+    result = train(prepared, prepared, params, config, input_vocab,
+                   output_vocab, score_fn=lambda p: 0.0)
+    assert result.steps == 1
+    for name, tensor in result.params.tensors.items():
+        assert np.array_equal(tensor, expected.tensors[name]), name
+        assert not np.array_equal(tensor, before[name]), name
 
 
 def test_train_stops_on_stuck_metric():
