@@ -46,7 +46,7 @@ from .evaluation import validation_scorer
 from .metrics import WordVectorStore, evaluate_corpus
 from .model import QGenParams, load_checkpoint, save_checkpoint, sequence_log_likelihood
 from .placeholders import (DEFAULT_THRESHOLD, SP_TOKEN, build_category_map,
-                           placeholderize_corpus)
+                           placeholderize_corpus, subject_text)
 from .training import TrainConfig, train
 from .transe import TransEConfig, TransEModel, train_transe
 
@@ -256,7 +256,7 @@ def _cmd_generate(cfg) -> int:
     written, skipped = generate_corpus(cfg["facts"], session, cfg["output"],
                                        cfg["width"])
     print(f"wrote {written} questions to {cfg['output']} "
-          f"({skipped} facts skipped: unknown atoms)")
+          f"({skipped} facts skipped: unknown atoms or blank subject)")
     return 0
 
 
@@ -281,10 +281,12 @@ def _cmd_baseline(cfg) -> int:
     log.info("template index from %d questions (%d dropped)", len(pairs), dropped)
     index = build_template_index(ph for _, ph in pairs)
     facts, _ = load_triples(cfg["facts"])
-    written = 0
-    unseen = 0
+    written = unseen = blank = 0
     with replacing_writer(cfg["output"]) as out:
         for i, fact in enumerate(facts):
+            if not subject_text(fact, names).strip():
+                blank += 1
+                continue
             try:
                 words = sample_question(fact, index, seed=cfg["seed"] + i,
                                         names=names)
@@ -293,8 +295,8 @@ def _cmd_baseline(cfg) -> int:
                 continue
             out.write(question_line(fact, words))
             written += 1
-    print(f"wrote {written} baseline questions "
-          f"({unseen} facts skipped: unseen relationship)")
+    print(f"wrote {written} baseline questions ({unseen} facts skipped: "
+          f"unseen relationship, {blank}: blank subject)")
     return 0
 
 

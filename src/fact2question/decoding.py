@@ -127,8 +127,9 @@ def generate_corpus(facts_path, session: GenerationSession, output_path,
                     width: int = DEFAULT_BEAM_WIDTH) -> tuple[int, int]:
     """Stream a triple file through the decoder into a 4-field TSV.
 
-    Facts whose atoms are unknown to the encoder are skipped.  Returns
-    (written, skipped).  Output order follows input order.
+    Facts whose atoms are unknown to the encoder, or whose subject text
+    is blank (restore would leave no subject), are skipped before decoding.
+    Returns (written, skipped).  Output order follows input order.
     """
     if width < 1:
         raise ContractError(f"beam width must be >= 1, got {width}")
@@ -136,6 +137,9 @@ def generate_corpus(facts_path, session: GenerationSession, output_path,
     skipped = 0
     with replacing_writer(output_path) as out:
         for fact in read_facts(facts_path):
+            if not subject_text(fact, session.names).strip():
+                skipped += 1
+                continue
             try:
                 if width == 1:
                     indices = session.greedy_indices(fact)

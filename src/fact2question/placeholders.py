@@ -47,8 +47,11 @@ def find_subject_span(question_tokens, subject_string) -> tuple[int, int, float]
     The score is the longest-matching-blocks ratio (2 * matched chars /
     total chars) between the space-joined span and the lowercased
     subject.  Ties break by earliest start, then shortest span.  The
-    terminal '?' never joins a span.  One matcher indexes the subject once
-    for every span, and a span whose cheap upper bounds on the ratio
+    terminal '?' never joins a span.  The first span (in that order) that
+    spells the subject exactly is taken at once: the ratio is 1.0 only
+    for equal strings and never above it, so the exhaustive search keeps
+    that span too.  Otherwise one matcher indexes the subject once for
+    every span, and a span whose cheap upper bounds on the ratio
     (real_quick_ratio, quick_ratio) cannot beat the best score so far is
     skipped, so the result is the exhaustive search's, ties included.
     """
@@ -59,17 +62,21 @@ def find_subject_span(question_tokens, subject_string) -> tuple[int, int, float]
     if question_tokens[-1] == QMARK:
         body_len -= 1
     max_span = len(target.split()) + 2
+    spans = [(start, end) for start in range(body_len)
+             for end in range(start + 1, min(body_len, start + max_span) + 1)]
+    for start, end in spans:
+        if " ".join(question_tokens[start:end]) == target:
+            return start, end, 1.0
     matcher = SequenceMatcher(None, "", target, autojunk=False)
     best = (0, 1, -1.0)
-    for start in range(body_len):
-        for end in range(start + 1, min(body_len, start + max_span) + 1):
-            matcher.set_seq1(" ".join(question_tokens[start:end]))
-            if (matcher.real_quick_ratio() <= best[2]
-                    or matcher.quick_ratio() <= best[2]):
-                continue
-            score = matcher.ratio()
-            if score > best[2]:
-                best = (start, end, score)
+    for start, end in spans:
+        matcher.set_seq1(" ".join(question_tokens[start:end]))
+        if (matcher.real_quick_ratio() <= best[2]
+                or matcher.quick_ratio() <= best[2]):
+            continue
+        score = matcher.ratio()
+        if score > best[2]:
+            best = (start, end, score)
     if best[2] < 0:
         raise ContractError("find_subject_span: question has no body tokens")
     return best

@@ -487,6 +487,27 @@ def test_baseline_drops_training_lines_with_nothing_to_match(toy_files, capsys):
     assert len(odd.read_text(encoding="utf-8").splitlines()) == 14
 
 
+def test_baseline_skips_facts_with_a_blank_subject(toy_files, capsys):
+    # a blank display name and an id that reads as blank would have their
+    # subject restored as nothing: skipped and counted, not written
+    d = toy_files["dir"]
+    facts_text = toy_files["facts"].read_text(encoding="utf-8")
+    facts = d / "odd_facts.tsv"
+    facts.write_text(facts_text + "m.zzz\tfacts/thing/kind\tobj_0\n"
+                     + "__\tfacts/thing/kind\tobj_0\n", encoding="utf-8")
+    names = d / "names.tsv"
+    names.write_text("m.zzz\t \n", encoding="utf-8")
+    plain, odd = d / "plain.tsv", d / "odd.tsv"
+    for path, facts_path in ((plain, toy_files["facts"]), (odd, facts)):
+        assert run(["baseline", "--train", str(toy_files["train"]),
+                    "--facts", str(facts_path), "--names", str(names),
+                    "--seed", "3", "--output", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1] == ("wrote 14 baseline questions (0 facts skipped: "
+                      "unseen relationship, 2: blank subject)")
+    assert odd.read_bytes() == plain.read_bytes()
+
+
 @pytest.mark.parametrize("value", ["nan", "1.5", "-0.1"])
 def test_baseline_bad_threshold_exits_two(toy_files, capsys, value):
     out = toy_files["dir"] / "baseline.tsv"
@@ -627,6 +648,32 @@ def test_generate_rejects_misshaped_checkpoint(tmp_path, capsys, name, shape):
     assert f"error: {checkpoint}: " in err and f"tensor {name!r}" in err
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("width", ["1", "3"])
+def test_generate_skips_facts_with_a_blank_subject(tmp_path, capsys, width):
+    input_vocab = Vocabulary(["<unk>", "s0", "s1", "__", "r0", "o0"])
+    output_vocab = Vocabulary(["<unk>", "<bos>", "?", "<placeholder>", "w4"])
+    params = QGenParams.init(n_in=6, n_out=5, d_enc=3, d_dec=3, hidden=5, seed=0)
+    paths = {key: tmp_path / f"{key}.tsv"
+             for key in ("in", "out", "facts", "names", "corpus")}
+    checkpoint = tmp_path / "checkpoint.bin"
+    input_vocab.dump(paths["in"])
+    output_vocab.dump(paths["out"])
+    save_checkpoint(checkpoint, params, "sp", input_vocab, output_vocab)
+    paths["facts"].write_text("s0\tr0\to0\n__\tr0\to0\ns1\tr0\to0\n"
+                              "mystery\tr0\to0\ns0\tr0\to0\n", encoding="utf-8")
+    paths["names"].write_text("s1\t \n", encoding="utf-8")
+    assert run(["generate", "--facts", str(paths["facts"]),
+                "--checkpoint", str(checkpoint), "--input-vocab", str(paths["in"]),
+                "--output-vocab", str(paths["out"]), "--names", str(paths["names"]),
+                "--width", width, "--output", str(paths["corpus"])]) == 0
+    assert capsys.readouterr().out == (
+        f"wrote 2 questions to {paths['corpus']} "
+        "(3 facts skipped: unknown atoms or blank subject)\n")
+    rows = [line.split("\t") for line in
+            paths["corpus"].read_text(encoding="utf-8").splitlines()]
+    assert [row[0] for row in rows] == ["s0", "s0"]
 
 
 @pytest.mark.parametrize("width", ["0", "-3"])

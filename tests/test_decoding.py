@@ -231,6 +231,24 @@ def test_generate_corpus_skips_unknown_atoms(tmp_path):
     assert (written, skipped) == (1, 1)
 
 
+@pytest.mark.parametrize("width", [1, 2])
+def test_generate_corpus_skips_blank_subjects_before_decoding(tmp_path, monkeypatch,
+                                                              width):
+    session, _, _ = _session(["<unk>", "<bos>", "?", "<placeholder>"], seed=2)
+    session.names = {"s1": " \t"}
+    decoded = []
+    for name in ("greedy_indices", "beam_indices"):
+        method = getattr(session, name)
+        monkeypatch.setattr(session, name, lambda fact, *args, method=method:
+                            decoded.append(fact) or method(fact, *args))
+    facts = tmp_path / "facts.tsv"
+    facts.write_text("s1\tr0\to0\ns0\tr0\to0\n", encoding="utf-8")
+    out = tmp_path / "corpus.tsv"
+    assert generate_corpus(facts, session, out, width=width) == (1, 1)
+    assert decoded == [FACT]
+    assert out.read_text(encoding="utf-8").startswith("s0\tr0\to0\t")
+
+
 def test_generate_corpus_deterministic_and_in_input_order(tmp_path):
     session, _, _ = _session(["<unk>", "<bos>", "?", "a", "b"], seed=4)
     # every third fact has an unknown subject and is skipped

@@ -129,7 +129,72 @@ def test_find_subject_span_equals_the_exhaustive_search(tokens, subject):
     _check_against_oracle(tokens, " ".join(subject))
 
 
-def test_find_subject_span_builds_one_matcher_per_call(monkeypatch):
+# words that are one letter off SPAN_WORDS, tokens holding a space and an
+# empty token (an API-built QAPair can carry both)
+EDGE_WORDS = SPAN_WORDS + ["b a", "a ab", " ", "", "thén", "abd", "kóln"]
+
+
+def _near_miss(words, rng):
+    """The words with one of them swapped for a neighbour, or one dropped."""
+    words = list(words)
+    at = rng.randrange(len(words))
+    if len(words) > 1 and rng.random() < 0.3:
+        del words[at]
+    else:
+        words[at] = rng.choice(EDGE_WORDS)
+    return words
+
+
+def _edge_span_case(rng):
+    """A case at the edges of the exact-span scan: odd tokens, the subject
+    planted only across the terminal '?', or twice after a near miss."""
+    subject = [rng.choice(SPAN_WORDS[:-1]) for _ in range(rng.randint(1, 4))]
+    tokens = [rng.choice(EDGE_WORDS) for _ in range(rng.randint(0, 6))]
+    kind = rng.randrange(3)
+    if kind == 0:  # the subject ends in '?' and reaches the terminal mark
+        return tokens + subject + ["?"], " ".join(subject + ["?"])
+    if kind == 1:  # a near miss first, then the subject twice
+        tokens += _near_miss(subject, rng)
+        for _ in range(2):
+            tokens += [rng.choice(EDGE_WORDS) for _ in range(rng.randint(0, 2))]
+            tokens += subject
+    else:  # odd tokens, sometimes with the subject inside one token
+        if rng.random() < 0.5:
+            tokens += subject
+        tokens.append(rng.choice([" ".join(subject), "", " "]))
+        tokens += [rng.choice(EDGE_WORDS) for _ in range(rng.randint(0, 3))]
+    if rng.random() < 0.8:
+        tokens.append("?")
+    return tokens, " ".join(subject)
+
+
+@pytest.mark.parametrize("tokens, subject", [
+    (["fires creek", "?"], "fires creek"),
+    (["fires creek", "fires", "creek", "?"], "fires creek"),
+    (["fires", "creek", "fires creek", "?"], "fires creek"),
+    (["fires", "", "creek", "fires creek", "?"], "fires creek"),
+    (["", "?"], "a"),
+    (["", " ", "?"], "a"),
+    (["which", "is", "paris", "?"], "paris ?"),
+    (["paris", "?", "x", "paris", "?"], "paris ?"),
+    (["fires", "creak", "in", "fires", "creek", "or", "fires", "creek", "?"],
+     "fires creek"),
+    (["a", "ab", "ab", "a", "ab", "?"], "a ab"),
+], ids=["space-token", "space-token-first", "space-token-last", "empty-token", "only-empty", "only-blank", "across-mark",
+        "mark-inside", "near-miss-then-twice", "overlapping-twice"])
+def test_find_subject_span_equals_the_exhaustive_search_at_scan_edges(tokens,
+                                                                      subject):
+    _check_against_oracle(tokens, subject)
+
+
+def test_find_subject_span_equals_the_exhaustive_search_on_edge_cases():
+    rng = random.Random(1506)
+    for _ in range(3000):
+        _check_against_oracle(*_edge_span_case(rng))
+
+
+def test_find_subject_span_builds_a_matcher_only_without_an_exact_span(
+        monkeypatch):
     built = []
 
     class CountingMatcher(SequenceMatcher):
@@ -140,7 +205,43 @@ def test_find_subject_span_builds_one_matcher_per_call(monkeypatch):
     monkeypatch.setattr(placeholders, "SequenceMatcher", CountingMatcher)
     tokens = "which forest is fires creek in fires creek ?".split()
     assert find_subject_span(tokens, "fires creek") == (3, 5, 1.0)
+    assert built == []
+    tokens = "which forest is fires creak in fire creek ?".split()
+    assert find_subject_span(tokens, "fires creek") == exhaustive_subject_span(
+        tokens, "fires creek")
     assert len(built) == 1
+
+
+def _mixed_corpus(rng, n):
+    """Questions that spell their subject, miss it by a letter, lack it,
+    hold odd tokens, or have nothing to match."""
+    words = ["who", "what", "is", "the", "of", "in", "fires", "creek", "köln",
+             "hamlet", "'s", ",", "b a", ""]
+    pairs = []
+    for i in range(n):
+        subject = [rng.choice(words[6:12]) for _ in range(rng.randint(1, 3))]
+        body = [rng.choice(words) for _ in range(rng.randint(0, 6))]
+        kind = rng.randrange(5)
+        if kind < 2:
+            body[rng.randint(0, len(body)):0] = subject
+        elif kind == 2:
+            body += _near_miss(subject, rng)
+        subject_id = "_".join(subject) if kind < 4 else "__"
+        relationship = f"d/t{i % 3}/p"
+        pairs.append(QAPair(Fact(subject_id, relationship, "o"),
+                            tuple(body) + ("?",)))
+    return pairs
+
+
+@pytest.mark.parametrize("mode", ["sp", "mp"])
+def test_placeholderize_corpus_equals_the_exhaustive_search(monkeypatch, mode):
+    pairs = _mixed_corpus(random.Random(30), 400)
+    category_map = build_category_map(pairs)
+    kept, dropped = placeholderize_corpus(pairs, mode, category_map)
+    monkeypatch.setattr(placeholders, "find_subject_span", exhaustive_subject_span)
+    assert (kept, dropped) == placeholderize_corpus(pairs, mode, category_map)
+    assert 0 < dropped < len(pairs) // 2
+    assert {ph.score == 1.0 for _, ph in kept} == {True, False}
 
 
 def test_subject_text_prefers_names_then_humanizes():
